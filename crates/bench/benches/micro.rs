@@ -10,7 +10,7 @@ use distbench::micro::{bench, bench_with_setup};
 use distdb::config::SystemConfig;
 use distdb::engine::Simulation;
 use distdb::protocol::ProtocolSpec;
-use distlocks::deadlock::find_cycle;
+use distlocks::deadlock::{find_cycle, CycleSearch, WaitForGraph};
 use distlocks::{LockManager, LockMode};
 use simkernel::{Calendar, SimTime};
 use std::collections::HashMap;
@@ -80,17 +80,78 @@ fn bench_lock_manager() {
     );
 }
 
+/// Adjacency lists in both directions, as the search's graph.
+struct Lists {
+    succ: Vec<Vec<u32>>,
+    pred: Vec<Vec<u32>>,
+}
+
+impl Lists {
+    fn new(succ: Vec<Vec<u32>>) -> Self {
+        let mut pred = vec![Vec::new(); succ.len()];
+        for (a, bs) in succ.iter().enumerate() {
+            for &b in bs {
+                pred[b as usize].push(a as u32);
+            }
+        }
+        Lists { succ, pred }
+    }
+}
+
+impl WaitForGraph for Lists {
+    type Node = u32;
+    fn slot(&self, n: u32) -> usize {
+        n as usize
+    }
+    fn successors(&mut self, n: u32, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.succ[n as usize]);
+    }
+    fn for_each_successor(&self, n: u32, f: impl FnMut(u32)) {
+        self.succ[n as usize].iter().copied().for_each(f);
+    }
+    fn for_each_predecessor(&self, n: u32, f: impl FnMut(u32)) {
+        self.pred[n as usize].iter().copied().for_each(f);
+    }
+}
+
 fn bench_deadlock() {
     // A 64-node wait-for graph with a long cycle through node 0.
-    let mut graph: HashMap<u32, Vec<u32>> = HashMap::new();
-    for n in 0..64u32 {
-        graph.insert(n, vec![(n + 1) % 64, (n * 7 + 3) % 64]);
-    }
+    let cyclic: Vec<Vec<u32>> = (0..64u32)
+        .map(|n| vec![(n + 1) % 64, (n * 7 + 3) % 64])
+        .collect();
+    let graph: HashMap<u32, Vec<u32>> = (0..64u32).zip(cyclic.iter().cloned()).collect();
     bench("deadlock/find_cycle 64-node graph", || {
         black_box(find_cycle(0u32, |n| {
             graph.get(&n).cloned().unwrap_or_default()
         }))
     });
+    let mut lists = Lists::new(cyclic);
+    let mut search = CycleSearch::new();
+    bench("deadlock/CycleSearch::find 64-node graph", || {
+        black_box(search.find(&mut lists, 0).map(<[u32]>::len))
+    });
+
+    // Skewed contention, acyclic: every transaction waits for the hot
+    // holder 0, for the previous waiter and for waiter n / 2. The
+    // newest one (255) just blocked; nobody waits for it yet, so there
+    // is no cycle, but its own waits reach the whole graph.
+    let skewed: Vec<Vec<u32>> = (0..256u32)
+        .map(|n| match n {
+            0 => vec![],
+            _ => vec![0, n - 1, n / 2],
+        })
+        .collect();
+    let graph: HashMap<u32, Vec<u32>> = (0..256u32).zip(skewed.iter().cloned()).collect();
+    bench("deadlock/find_cycle skewed acyclic 256-node graph", || {
+        black_box(find_cycle(255u32, |n| {
+            graph.get(&n).cloned().unwrap_or_default()
+        }))
+    });
+    let mut lists = Lists::new(skewed);
+    bench(
+        "deadlock/CycleSearch::find skewed acyclic 256-node graph",
+        || black_box(search.find(&mut lists, 255).map(<[u32]>::len)),
+    );
 }
 
 fn bench_simulation() {

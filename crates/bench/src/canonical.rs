@@ -111,6 +111,11 @@ pub struct Entry {
     /// cell: the profiled run pays for its own `Instant` reads, so its
     /// wall time is not comparable to the grid's.
     pub profile: Option<EngineProfile>,
+    /// Engine self-profile of the scale cell's configuration (2PC over
+    /// [`scale_config`], no sink), run after the grid: it records the
+    /// share of time immediate deadlock detection (`locks_ns`) takes
+    /// under skewed WAN contention.
+    pub scale_profile: Option<EngineProfile>,
 }
 
 impl Entry {
@@ -293,6 +298,7 @@ fn grid_pass(opts: &Options, label: String, with_series: bool) -> Result<Entry, 
         cells,
         peak_rss_kb: peak_rss_kb(),
         profile: None,
+        scale_profile: None,
     })
 }
 
@@ -311,13 +317,26 @@ pub fn profile_cell(opts: &Options) -> Result<EngineProfile, String> {
     Ok(profile)
 }
 
+/// The scale self-profile cell: 2PC over [`scale_config`] at the grid's
+/// run length with no sink, so `locks_ns` shows what immediate
+/// deadlock detection costs under Zipf contention.
+pub fn scale_profile_cell(opts: &Options) -> Result<EngineProfile, String> {
+    let (warmup, measured) = run_length(opts.quick);
+    let cfg = scale_config().with_run_length(warmup, measured);
+    let (_, profile) = Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, None)
+        .map_err(|e| format!("scale profile cell: {e}"))?;
+    Ok(profile)
+}
+
 /// Run the canonical grid, printing one progress line per cell to
 /// stderr. Each cell is a fresh deterministic [`Simulation`] timed
-/// with a monotonic clock. A self-profile cell (see [`profile_cell`])
-/// runs after the grid and rides on the entry.
+/// with a monotonic clock. Two self-profile cells (see
+/// [`profile_cell`] and [`scale_profile_cell`]) run after the grid and
+/// ride on the entry.
 pub fn run_grid(opts: &Options) -> Result<Entry, String> {
     let mut entry = grid_pass(opts, opts.label.clone(), false)?;
     entry.profile = Some(profile_cell(opts)?);
+    entry.scale_profile = Some(scale_profile_cell(opts)?);
     Ok(entry)
 }
 
@@ -353,6 +372,7 @@ pub fn series_overhead(opts: &Options) -> Result<SeriesOverhead, String> {
     let off = grid_pass(opts, suffix(" [series off]"), false)?;
     let mut on = grid_pass(opts, suffix(" [series on]"), true)?;
     on.profile = Some(profile_cell(opts)?);
+    on.scale_profile = Some(scale_profile_cell(opts)?);
     Ok(SeriesOverhead { off, on })
 }
 
@@ -397,30 +417,38 @@ pub fn render_entry(e: &Entry) -> String {
         }
     );
     if let Some(p) = &e.profile {
-        let total = p.total_ns().max(1) as f64;
-        let pct = |ns: u64| 100.0 * ns as f64 / total;
-        let _ = writeln!(
-            out,
-            "self-profile (2PC mpl 8, series sink on): {} events in {:.3}s — calendar {:.1}%, \
-             dispatch {:.1}% (locks {:.1}%), series sink {:.1}%{}",
-            p.events,
-            total / 1e9,
-            pct(p.calendar_ns),
-            pct(p.dispatch_ns),
-            pct(p.locks_ns),
-            pct(p.series_ns),
-            if p.mailbox_ns + p.barrier_ns > 0 {
-                format!(
-                    ", shard mailbox {:.1}%, barrier {:.1}%",
-                    pct(p.mailbox_ns),
-                    pct(p.barrier_ns)
-                )
-            } else {
-                String::new()
-            },
-        );
+        let _ = writeln!(out, "{}", render_profile("2PC mpl 8, series sink on", p));
+    }
+    if let Some(p) = &e.scale_profile {
+        let _ = writeln!(out, "{}", render_profile("scale 2PC mpl 4", p));
     }
     out
+}
+
+/// One self-profile line: section shares of the profiled total.
+/// `locks` (deadlock detection) is nested inside `dispatch`.
+fn render_profile(cell: &str, p: &EngineProfile) -> String {
+    let total = p.total_ns().max(1) as f64;
+    let pct = |ns: u64| 100.0 * ns as f64 / total;
+    format!(
+        "self-profile ({cell}): {} events in {:.3}s — calendar {:.1}%, \
+         dispatch {:.1}% (locks {:.1}%), series sink {:.1}%{}",
+        p.events,
+        total / 1e9,
+        pct(p.calendar_ns),
+        pct(p.dispatch_ns),
+        pct(p.locks_ns),
+        pct(p.series_ns),
+        if p.mailbox_ns + p.barrier_ns > 0 {
+            format!(
+                ", shard mailbox {:.1}%, barrier {:.1}%",
+                pct(p.mailbox_ns),
+                pct(p.barrier_ns)
+            )
+        } else {
+            String::new()
+        },
+    )
 }
 
 /// Render the verdict line for a [`series_overhead`] measurement;
@@ -828,25 +856,29 @@ impl Entry {
             ("cells".into(), Json::Arr(cells)),
             ("aggregate".into(), aggregate),
         ];
+        // Extra members: the schema validator looks up only known
+        // keys, so older readers skip them.
         if let Some(p) = &self.profile {
-            // Extra member: the schema validator looks up only known
-            // keys, so older readers skip it.
-            members.push((
-                "profile".into(),
-                Json::Obj(vec![
-                    ("events".into(), Json::Num(p.events as f64)),
-                    ("calendar_ns".into(), Json::Num(p.calendar_ns as f64)),
-                    ("dispatch_ns".into(), Json::Num(p.dispatch_ns as f64)),
-                    ("locks_ns".into(), Json::Num(p.locks_ns as f64)),
-                    ("series_ns".into(), Json::Num(p.series_ns as f64)),
-                    ("mailbox_ns".into(), Json::Num(p.mailbox_ns as f64)),
-                    ("barrier_ns".into(), Json::Num(p.barrier_ns as f64)),
-                    ("total_ns".into(), Json::Num(p.total_ns() as f64)),
-                ]),
-            ));
+            members.push(("profile".into(), profile_json(p)));
+        }
+        if let Some(p) = &self.scale_profile {
+            members.push(("scale_profile".into(), profile_json(p)));
         }
         Json::Obj(members)
     }
+}
+
+fn profile_json(p: &EngineProfile) -> Json {
+    Json::Obj(vec![
+        ("events".into(), Json::Num(p.events as f64)),
+        ("calendar_ns".into(), Json::Num(p.calendar_ns as f64)),
+        ("dispatch_ns".into(), Json::Num(p.dispatch_ns as f64)),
+        ("locks_ns".into(), Json::Num(p.locks_ns as f64)),
+        ("series_ns".into(), Json::Num(p.series_ns as f64)),
+        ("mailbox_ns".into(), Json::Num(p.mailbox_ns as f64)),
+        ("barrier_ns".into(), Json::Num(p.barrier_ns as f64)),
+        ("total_ns".into(), Json::Num(p.total_ns() as f64)),
+    ])
 }
 
 /// An empty trajectory document.
@@ -1008,6 +1040,7 @@ mod tests {
             }],
             peak_rss_kb: Some(1234),
             profile: None,
+            scale_profile: None,
         }
     }
 
@@ -1136,6 +1169,13 @@ mod tests {
             mailbox_ns: 0,
             barrier_ns: 0,
         });
+        e.scale_profile = Some(EngineProfile {
+            events: 20_000,
+            calendar_ns: 100,
+            dispatch_ns: 900,
+            locks_ns: 400,
+            ..EngineProfile::default()
+        });
         let mut doc = empty_trajectory();
         if let Json::Obj(members) = &mut doc {
             if let Some((_, Json::Arr(items))) = members.iter_mut().find(|(k, _)| k == "entries") {
@@ -1152,10 +1192,24 @@ mod tests {
             .expect("profile member");
         assert_eq!(p.get("total_ns").and_then(Json::as_f64), Some(925.0));
         assert_eq!(p.get("series_ns").and_then(Json::as_f64), Some(25.0));
-        // The human rendering shows the section shares.
+        let p = doc2.get("entries").and_then(Json::as_arr).unwrap()[0]
+            .get("scale_profile")
+            .expect("scale_profile member");
+        assert_eq!(p.get("locks_ns").and_then(Json::as_f64), Some(400.0));
+        assert_eq!(p.get("total_ns").and_then(Json::as_f64), Some(1000.0));
+        // The human rendering shows the section shares, one line per
+        // profiled cell; `locks` is a share of the same total.
         let rendered = render_entry(&e);
-        assert!(rendered.contains("self-profile"), "{rendered}");
+        assert!(
+            rendered.contains("self-profile (2PC mpl 8, series sink on):"),
+            "{rendered}"
+        );
         assert!(rendered.contains("series sink"), "{rendered}");
+        assert!(
+            rendered.contains("self-profile (scale 2PC mpl 4): 20000 events"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("(locks 40.0%)"), "{rendered}");
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! execution-phase aborts (deadlock victims and OPT borrower
 //! cascades).
 
-use super::types::{Cohort, CohortH, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase};
-use super::Simulation;
+use super::types::{
+    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase,
+};
+use super::{Simulation, Site};
 use crate::config::TransType;
 use crate::metrics::AbortReason;
 use crate::workload::{SiteId, TxnTemplate};
-use distlocks::deadlock::find_cycle;
+use distlocks::deadlock::WaitForGraph;
 use distlocks::{Grant, LockMode, RequestOutcome};
-use simkernel::SimTime;
+use simkernel::{SimTime, Slab};
 
 impl Simulation {
     // ------------------------------------------------------------------
@@ -332,16 +334,22 @@ impl Simulation {
             if !self.txns.contains(start) {
                 return; // start itself was the victim
             }
-            // Allocation-free reachability pre-filter: almost every
-            // block is cycle-free, and `find_cycle` (HashMap colouring,
-            // per-node successor vectors) is only worth paying when a
-            // cycle actually exists. Both compute the same boolean —
-            // "is `start` reachable from its own successors" — so the
-            // filter never changes which deadlocks are found.
-            if !self.cycle_through(start) {
-                return;
-            }
-            let Some(cycle) = find_cycle(start, |t| self.wait_for_successors(t)) else {
+            #[cfg(test)]
+            let expected = super::tests::reference_cycle(self, start);
+            let mut graph = WaitFor {
+                txns: &self.txns,
+                cohorts: &self.cohorts,
+                sites: &self.sites,
+                keys: &mut self.blocker_keys,
+            };
+            let found = self.cycle_search.find(&mut graph, start);
+            #[cfg(test)]
+            assert_eq!(
+                found.map(<[TxnH]>::to_vec),
+                expected,
+                "cycle from {start:?}"
+            );
+            let Some(cycle) = found else {
                 return;
             };
             // Youngest victim: latest birth, ties broken by the external
@@ -359,92 +367,6 @@ impl Simulation {
                 .expect("cycle is non-empty");
             self.abort_txn(victim, AbortReason::Deadlock);
         }
-    }
-
-    /// Can `start` reach itself through the wait-for graph? Stamped DFS
-    /// over dense transaction slots: no hashing, no allocation after
-    /// the scratch buffers reach their high-water marks. Edge set is
-    /// identical to [`Self::wait_for_successors`] (self-edges between
-    /// cohorts of one transaction excluded); order and duplicates are
-    /// irrelevant to reachability.
-    fn cycle_through(&mut self, start: TxnH) -> bool {
-        let mut seen = std::mem::take(&mut self.dl_seen);
-        let mut stack = std::mem::take(&mut self.dl_stack);
-        self.dl_stamp = self.dl_stamp.wrapping_add(1);
-        if self.dl_stamp == 0 {
-            seen.fill(0);
-            self.dl_stamp = 1;
-        }
-        let stamp = self.dl_stamp;
-        let mark = |seen: &mut Vec<u32>, t: TxnH| {
-            let slot = t.slot();
-            if slot >= seen.len() {
-                seen.resize(slot + 1, 0);
-            }
-            let fresh = seen[slot] != stamp;
-            seen[slot] = stamp;
-            fresh
-        };
-        stack.clear();
-        mark(&mut seen, start);
-        stack.push(start);
-        let mut found = false;
-        'dfs: while let Some(t) = stack.pop() {
-            let Some(txn) = self.txns.get(t) else {
-                continue;
-            };
-            for &ch in &txn.cohorts {
-                let Some(c) = self.cohorts.get(ch) else {
-                    continue;
-                };
-                if !c.waiting_lock {
-                    continue;
-                }
-                let site = &self.sites[c.site];
-                site.locks.for_each_blocker(c.lock_owner, |o| {
-                    let bt = self.cohorts[site.cohort_of(o)].txn;
-                    if bt == t {
-                        return; // self-edge, excluded from the graph
-                    }
-                    if bt == start {
-                        found = true;
-                    } else if mark(&mut seen, bt) {
-                        stack.push(bt);
-                    }
-                });
-                if found {
-                    break 'dfs;
-                }
-            }
-        }
-        self.dl_seen = seen;
-        self.dl_stack = stack;
-        found
-    }
-
-    /// Transactions `t` currently waits for, stitched together from the
-    /// live per-site blocker sets of its waiting cohorts.
-    fn wait_for_successors(&self, t: TxnH) -> Vec<TxnH> {
-        let Some(txn) = self.txns.get(t) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for &ch in &txn.cohorts {
-            let Some(c) = self.cohorts.get(ch) else {
-                continue;
-            };
-            if !c.waiting_lock {
-                continue;
-            }
-            let site = &self.sites[c.site];
-            for blocker in site.locks.blockers_of(c.lock_owner) {
-                let bt = self.cohorts[site.cohort_of(blocker)].txn;
-                if bt != t && !out.contains(&bt) {
-                    out.push(bt);
-                }
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -565,6 +487,100 @@ impl Simulation {
         }
         for &(site, page) in cohort_accesses {
             self.data_disk_arrive(site, page, DiskJob::AsyncWrite);
+        }
+    }
+}
+
+/// The live transaction-level wait-for graph, read straight from the
+/// lock tables: `t` waits for `u` when a waiting cohort of `t` is
+/// blocked by a cohort of `u` (never counting `t`'s own cohorts). A
+/// transaction whose `blocked_cohorts` count is zero has no waiting
+/// cohort, so the forward expansions skip its cohort list.
+struct WaitFor<'a> {
+    txns: &'a Slab<TxnH, Txn>,
+    cohorts: &'a Slab<CohortH, Cohort>,
+    sites: &'a [Site],
+    /// Scratch that orders one cohort's blockers by cohort id.
+    keys: &'a mut Vec<(CohortId, TxnH)>,
+}
+
+impl WaitForGraph for WaitFor<'_> {
+    type Node = TxnH;
+
+    fn slot(&self, t: TxnH) -> usize {
+        t.slot()
+    }
+
+    /// Waiting cohorts in the transaction's cohort order, each one's
+    /// blockers by cohort id (the lock table's registration sequence,
+    /// as `LockManager::blockers_of` sorts them), keeping the first
+    /// occurrence of each transaction.
+    fn successors(&mut self, t: TxnH, out: &mut Vec<TxnH>) {
+        let Some(txn) = self.txns.get(t).filter(|x| x.blocked_cohorts > 0) else {
+            return;
+        };
+        let base = out.len();
+        for &ch in &txn.cohorts {
+            let Some(c) = self.cohorts.get(ch) else {
+                continue;
+            };
+            if !c.waiting_lock {
+                continue;
+            }
+            let site = &self.sites[c.site];
+            self.keys.clear();
+            site.locks.for_each_blocker(c.lock_owner, |o| {
+                let b = &self.cohorts[site.cohort_of(o)];
+                self.keys.push((b.id, b.txn));
+            });
+            self.keys.sort_unstable_by_key(|&(id, _)| id);
+            for &(_, bt) in self.keys.iter() {
+                if bt != t && !out[base..].contains(&bt) {
+                    out.push(bt);
+                }
+            }
+        }
+    }
+
+    fn for_each_successor(&self, t: TxnH, mut f: impl FnMut(TxnH)) {
+        let Some(txn) = self.txns.get(t).filter(|x| x.blocked_cohorts > 0) else {
+            return;
+        };
+        for &ch in &txn.cohorts {
+            let Some(c) = self.cohorts.get(ch) else {
+                continue;
+            };
+            if !c.waiting_lock {
+                continue;
+            }
+            let site = &self.sites[c.site];
+            site.locks.for_each_blocker(c.lock_owner, |o| {
+                let bt = self.cohorts[site.cohort_of(o)].txn;
+                if bt != t {
+                    f(bt);
+                }
+            });
+        }
+    }
+
+    fn for_each_predecessor(&self, t: TxnH, mut f: impl FnMut(TxnH)) {
+        let Some(txn) = self.txns.get(t) else {
+            return;
+        };
+        for &ch in &txn.cohorts {
+            let Some(c) = self.cohorts.get(ch) else {
+                continue;
+            };
+            if c.phase == CohortPhase::Parted {
+                continue; // already unregistered from the lock table
+            }
+            let site = &self.sites[c.site];
+            site.locks.for_each_waiter(c.lock_owner, |o| {
+                let w = &self.cohorts[site.cohort_of(o)];
+                if w.waiting_lock && w.txn != t {
+                    f(w.txn);
+                }
+            });
         }
     }
 }

@@ -32,7 +32,7 @@ impl SlabKey for TxnH {
 
 impl TxnH {
     /// Dense slab slot — the index for stamp arrays sized to the live
-    /// transaction population (deadlock pre-filter scratch).
+    /// transaction population (the deadlock search's visit stamps).
     pub(crate) fn slot(self) -> usize {
         self.0.index() as usize
     }

@@ -18,9 +18,12 @@
 //!
 //! Deadlock handling follows §4.2: detection is *immediate* (checked at
 //! every lock conflict) and *global* (the wait-for graph spans sites).
-//! [`deadlock::find_cycle`] runs the detection over a caller-supplied
-//! edge expansion so the engine can stitch the per-site blocker sets
-//! into one transaction-level graph.
+//! [`deadlock::CycleSearch`] runs the detection over a caller-supplied
+//! [`deadlock::WaitForGraph`] so the engine can stitch the per-site
+//! blocker sets ([`LockManager::for_each_blocker`]) and their
+//! transpose ([`LockManager::for_each_waiter`]) into one
+//! transaction-level graph; [`deadlock::find_cycle`] is its plain
+//! reference implementation.
 
 pub mod deadlock;
 pub mod table;

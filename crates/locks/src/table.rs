@@ -567,6 +567,47 @@ impl LockManager {
         }
     }
 
+    /// Visit every owner whose outstanding request `owner` blocks: the
+    /// transpose of [`Self::for_each_blocker`], so `w` is visited here
+    /// exactly when `owner` is visited by `for_each_blocker(w)`. Those
+    /// are the conflicting requests queued on pages `owner` holds
+    /// (none while it is a prepared lender under OPT lending) and the
+    /// conflicting requests queued behind its own. Order unspecified;
+    /// an owner may be visited twice.
+    pub fn for_each_waiter(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
+        if self.waiting_owners == 0 {
+            return; // nobody queued anywhere in this table
+        }
+        let st = self.st(owner);
+        if !(self.opt_lending && st.prepared) {
+            for &(page, hmode) in &st.held {
+                let Some(entry) = self.page_ro(page) else {
+                    continue;
+                };
+                for w in &entry.queue {
+                    if w.owner != owner.0 && !hmode.compatible(w.mode) {
+                        f(OwnerId(w.owner));
+                    }
+                }
+            }
+        }
+        let Some(page) = st.waiting else {
+            return;
+        };
+        let Some(entry) = self.page_ro(page) else {
+            return;
+        };
+        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
+            return;
+        };
+        let mode = entry.queue[pos].mode;
+        for w in entry.queue.iter().skip(pos + 1) {
+            if !mode.compatible(w.mode) || !w.mode.compatible(mode) {
+                f(OwnerId(w.owner));
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // State changes
     // ------------------------------------------------------------------
@@ -1556,6 +1597,106 @@ mod generative_tests {
                 }
             }
         }
+    }
+
+    /// `for_each_waiter` is exactly the transpose of `for_each_blocker`
+    /// (and `for_each_blocker` covers exactly `blockers_of`) in every
+    /// state random op sequences reach: read/update mixes, upgrades
+    /// queued at the front, prepared lenders with and without lending,
+    /// and owners unregistered and re-registered into recycled slots.
+    #[test]
+    fn for_each_waiter_is_the_transpose_of_for_each_blocker() {
+        use std::collections::BTreeSet;
+        let mut r = SimRng::new(0x7A45_9053);
+        let (mut edges, mut front_upgrades, mut lender_states) = (0usize, 0usize, 0usize);
+        for case in 0..300 {
+            let lending = case % 2 == 0;
+            let (mut lm, mut o) = table_with_owners(lending);
+            let mut next_seq = 8;
+            for _ in 0..r.uniform_usize(1, 119) {
+                let op = random_op(&mut r);
+                match op {
+                    Op::Request {
+                        owner,
+                        page,
+                        update,
+                    } => {
+                        let owner = o[owner as usize];
+                        if lm.is_waiting(owner) || lm.is_prepared(owner) {
+                            continue;
+                        }
+                        let mode = if update {
+                            LockMode::Update
+                        } else {
+                            LockMode::Read
+                        };
+                        let _ = lm.request(owner, page as u64, mode);
+                    }
+                    Op::ReleaseAll { owner } => {
+                        // Churn: tear the owner down and register a
+                        // fresh one, which takes over the freed slot.
+                        let i = owner as usize;
+                        lm.drop_borrower(o[i]);
+                        lm.settle_borrows(o[i]);
+                        lm.release_all(o[i]);
+                        lm.unregister(o[i]);
+                        o[i] = lm.register_owner(next_seq);
+                        next_seq += 1;
+                    }
+                    Op::ReleaseReads { owner } => {
+                        lm.release_read_locks(o[owner as usize]);
+                    }
+                    Op::Prepare { owner } => {
+                        let owner = o[owner as usize];
+                        if !lm.is_waiting(owner)
+                            && !lm.is_prepared(owner)
+                            && lm.pages_held(owner) > 0
+                            && !lm.has_live_borrows(owner)
+                        {
+                            lm.mark_prepared(owner);
+                        }
+                    }
+                    Op::Settle { owner } => {
+                        let owner = o[owner as usize];
+                        if lm.is_prepared(owner) {
+                            lm.settle_borrows(owner);
+                            lm.release_all(owner);
+                        }
+                    }
+                }
+                lm.audit().unwrap();
+                let (mut forward, mut backward) = (BTreeSet::new(), BTreeSet::new());
+                for &w in &o {
+                    let mut visited = BTreeSet::new();
+                    lm.for_each_blocker(w, |b| {
+                        visited.insert(b.0);
+                        forward.insert((w.0, b.0));
+                    });
+                    let listed: BTreeSet<u32> = lm.blockers_of(w).iter().map(|b| b.0).collect();
+                    assert_eq!(visited, listed);
+                    lm.for_each_waiter(w, |x| {
+                        backward.insert((x.0, w.0));
+                    });
+                }
+                assert_eq!(forward, backward, "lending={lending}");
+                edges += forward.len();
+                for entry in &lm.pages {
+                    let Some(head) = entry.queue.front() else {
+                        continue;
+                    };
+                    front_upgrades += head.upgrade as usize;
+                    let lender = entry
+                        .holders
+                        .iter()
+                        .any(|&(h, _)| h != head.owner && lm.prepared_slot(h));
+                    lender_states += (lending && lender) as usize;
+                }
+            }
+        }
+        // Not vacuous: every shape above actually occurred.
+        assert!(edges > 5_000, "{edges}");
+        assert!(front_upgrades > 30, "{front_upgrades}");
+        assert!(lender_states > 100, "{lender_states}");
     }
 
     /// Without lending, conflicting pages serialize: at most one update

@@ -179,3 +179,38 @@ fn folded_stacks_match_golden() {
     .expect("valid config");
     check("fold.txt", &fold.render());
 }
+
+/// The scale configuration: 64 sites at 1000 pages each, Zipf(0.9)
+/// page access and a 4-region WAN. Heavy skewed contention makes
+/// immediate deadlock detection fire on a large share of lock
+/// conflicts, so this golden pins the §4.2 victim choice (youngest
+/// member of the first cycle found) through every detector change.
+fn wan_zipf_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline()
+        .with_zipf(0.9)
+        .with_topology(
+            "regions=4,lan-ms=1,wan-ms=40,jitter=0.1"
+                .parse()
+                .expect("valid topology"),
+        )
+        .with_run_length(50, 500);
+    cfg.num_sites = 64;
+    cfg.db_size = 64_000;
+    cfg
+}
+
+/// 2PC and OPT over [`wan_zipf_cfg`], as one JSON array of reports.
+#[test]
+fn wan_zipf_reports_match_golden() {
+    let mut reports = Vec::new();
+    for spec in [ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC] {
+        let report = Simulation::run(&wan_zipf_cfg(), spec, 2026).expect("valid config");
+        // Not vacuous: the run resolved many deadlocks.
+        assert!(report.aborted_deadlock > 50, "{}", report.aborted_deadlock);
+        reports.push(report.render(ReportFormat::Json));
+    }
+    check(
+        "report_wan_zipf.json",
+        &format!("[{}]\n", reports.join(",\n")),
+    );
+}
