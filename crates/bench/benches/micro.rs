@@ -1,14 +1,14 @@
 //! Micro-benchmarks for the simulator's hot paths: the event calendar,
-//! the lock manager (plain and lending), deadlock detection, and a
-//! complete short simulation per protocol — the numbers that determine
-//! how long the figure sweeps take.
+//! the lock manager (plain and lending), deadlock detection, the trace
+//! sinks, and a complete short simulation per protocol — the numbers
+//! that determine how long the figure sweeps take.
 //!
 //! Uses the std-only harness in [`distbench::micro`]; run with
 //! `cargo bench -p distbench --bench micro`.
 
-use distbench::micro::{bench, bench_with_setup};
+use distbench::micro::{bench, bench_per_item, bench_with_setup};
 use distdb::config::SystemConfig;
-use distdb::engine::Simulation;
+use distdb::engine::{ChromeWriter, FoldSink, Simulation, TraceSink};
 use distdb::protocol::ProtocolSpec;
 use distlocks::deadlock::{find_cycle, CycleSearch, WaitForGraph};
 use distlocks::{LockManager, LockMode};
@@ -154,6 +154,34 @@ fn bench_deadlock() {
     );
 }
 
+/// The Chrome and fold sinks over one recorded faulty 3PC trace (the
+/// faults-sinks mix of crashes and message loss), in ns per event. The
+/// Chrome stream writes to `io::sink()`, so the cell times
+/// serialization, not I/O.
+fn bench_sinks() {
+    let mut cfg = SystemConfig::paper_baseline()
+        .with_failures("mc=0.01,cc=0.005,loss=0.01".parse().expect("valid faults"))
+        .with_run_length(0, 2_000);
+    cfg.mpl = 4;
+    let (_, trace) = Simulation::run_traced(&cfg, ProtocolSpec::THREE_PC, 42, u64::MAX).unwrap();
+    let events = trace.events;
+    bench_per_item("sink/ChromeWriter::event", events.len() as u64, || {
+        let mut w = ChromeWriter::new(std::io::sink()).unwrap();
+        for e in &events {
+            w.event(e).unwrap();
+        }
+        w.finish().unwrap()
+    });
+    bench_per_item("sink/FoldSink::record", events.len() as u64, || {
+        let mut f = FoldSink::new("3PC");
+        for e in &events {
+            f.record(e);
+        }
+        f.finish();
+        f
+    });
+}
+
 fn bench_simulation() {
     for spec in [
         ProtocolSpec::TWO_PC,
@@ -179,5 +207,6 @@ fn main() {
     bench_calendar();
     bench_lock_manager();
     bench_deadlock();
+    bench_sinks();
     bench_simulation();
 }

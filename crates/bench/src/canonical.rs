@@ -18,6 +18,7 @@
 use commitproto::ProtocolSpec;
 use distdb::config::SystemConfig;
 use distdb::engine::{EngineProfile, SeriesConfig, Simulation};
+use distdb::output::escape_json;
 use std::time::Instant;
 
 /// Protocols on the canonical grid, in run order.
@@ -516,6 +517,7 @@ impl Json {
 /// writes (and standard escapes); errors carry a byte offset.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -529,6 +531,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -636,10 +639,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (may be multi-byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let ch = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar (may be multi-byte),
+                    // decoded from the already-valid input: `pos` sits
+                    // on a char boundary, since it only ever advances
+                    // past ASCII bytes or whole chars.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte, so a char remains");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -699,22 +706,6 @@ impl Parser<'_> {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn fmt_num(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 9e15 {
         format!("{}", x as i64)
@@ -746,7 +737,7 @@ fn render_into(v: &Json, indent: usize, out: &mut String) {
         Json::Num(x) => out.push_str(&fmt_num(*x)),
         Json::Str(s) => {
             out.push('"');
-            out.push_str(&escape(s));
+            out.push_str(&escape_json(s));
             out.push('"');
         }
         Json::Arr(items) => {
@@ -775,7 +766,7 @@ fn render_into(v: &Json, indent: usize, out: &mut String) {
                 out.push_str("{ ");
                 for (i, (k, val)) in members.iter().enumerate() {
                     out.push('"');
-                    out.push_str(&escape(k));
+                    out.push_str(&escape_json(k));
                     out.push_str("\": ");
                     render_into(val, indent, out);
                     if i + 1 < members.len() {
@@ -789,7 +780,7 @@ fn render_into(v: &Json, indent: usize, out: &mut String) {
             for (i, (k, val)) in members.iter().enumerate() {
                 out.push_str(&pad_in);
                 out.push('"');
-                out.push_str(&escape(k));
+                out.push_str(&escape_json(k));
                 out.push_str("\": ");
                 render_into(val, indent + 1, out);
                 if i + 1 < members.len() {
@@ -1048,7 +1039,7 @@ mod tests {
     fn json_round_trips() {
         let doc = Json::Obj(vec![
             ("a".into(), Json::Num(1.5)),
-            ("b".into(), Json::Str("x\"y\n".into())),
+            ("b".into(), Json::Str("x\"y\n µs \u{2192} \u{1}".into())),
             (
                 "c".into(),
                 Json::Arr(vec![Json::Null, Json::Bool(true), Json::Num(-3.0)]),
@@ -1060,6 +1051,24 @@ mod tests {
         // And rendering is a fixed point: parse(render(x)) renders the
         // same bytes, so appending never churns earlier entries.
         assert_eq!(render_json(&parse_json(&text).unwrap()), text);
+    }
+
+    /// The committed trajectories are fixed points of parse → render:
+    /// appending an entry rewrites every earlier byte unchanged.
+    #[test]
+    fn committed_trajectories_render_byte_identically() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                assert_eq!(render_json(&parse_json(&text).unwrap()), text, "{name}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no BENCH_*.json under {}", root.display());
     }
 
     #[test]

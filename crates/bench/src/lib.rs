@@ -112,8 +112,8 @@ pub mod micro {
         }
     }
 
-    /// Time `f` repeatedly and print `name: <mean per iter> (<iters> iters)`.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+    /// Time `f` repeatedly: the mean time per call and the call count.
+    fn measure<T>(mut f: impl FnMut() -> T) -> (Duration, u64) {
         // Warm-up: one timed call sizes the batch.
         let start = Instant::now();
         std::hint::black_box(f());
@@ -123,8 +123,21 @@ pub mod micro {
         for _ in 0..iters {
             std::hint::black_box(f());
         }
-        let per_iter = start.elapsed() / iters as u32;
+        (start.elapsed() / iters as u32, iters)
+    }
+
+    /// Time `f` repeatedly and print `name: <mean per iter> (<iters> iters)`.
+    pub fn bench<T>(name: &str, f: impl FnMut() -> T) {
+        let (per_iter, iters) = measure(f);
         println!("{name:<44} {:>12}  ({iters} iters)", fmt_duration(per_iter));
+    }
+
+    /// Like [`bench()`], for an `f` that handles `items` items per call:
+    /// prints the mean time per item.
+    pub fn bench_per_item<T>(name: &str, items: u64, f: impl FnMut() -> T) {
+        let (per_iter, iters) = measure(f);
+        let ns = per_iter.as_nanos() as f64 / items.max(1) as f64;
+        println!("{name:<44} {ns:>9.1} ns/item  ({items} items, {iters} iters)");
     }
 
     /// Like [`bench()`], but rebuilds fresh input state with `setup`

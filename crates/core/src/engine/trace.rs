@@ -52,6 +52,55 @@ pub enum MsgLabel {
     RepAck,
 }
 
+impl MsgLabel {
+    /// Every variant, in declaration order (`ALL[l as usize] == l`).
+    pub const ALL: [MsgLabel; 18] = [
+        MsgLabel::InitCohort,
+        MsgLabel::WorkDone,
+        MsgLabel::Prepare,
+        MsgLabel::VoteYes,
+        MsgLabel::VoteNo,
+        MsgLabel::VoteReadOnly,
+        MsgLabel::PreCommit,
+        MsgLabel::PreAck,
+        MsgLabel::DecisionCommit,
+        MsgLabel::DecisionAbort,
+        MsgLabel::Ack,
+        MsgLabel::TermStateReq,
+        MsgLabel::TermStateRep,
+        MsgLabel::PaxosVoteYes,
+        MsgLabel::PaxosVoteNo,
+        MsgLabel::Accepted,
+        MsgLabel::RepDecision,
+        MsgLabel::RepAck,
+    ];
+
+    /// The variant's name, exactly its `Debug` text, as a static
+    /// string: trace sinks build labels from it without formatting.
+    pub fn name(self) -> &'static str {
+        match self {
+            MsgLabel::InitCohort => "InitCohort",
+            MsgLabel::WorkDone => "WorkDone",
+            MsgLabel::Prepare => "Prepare",
+            MsgLabel::VoteYes => "VoteYes",
+            MsgLabel::VoteNo => "VoteNo",
+            MsgLabel::VoteReadOnly => "VoteReadOnly",
+            MsgLabel::PreCommit => "PreCommit",
+            MsgLabel::PreAck => "PreAck",
+            MsgLabel::DecisionCommit => "DecisionCommit",
+            MsgLabel::DecisionAbort => "DecisionAbort",
+            MsgLabel::Ack => "Ack",
+            MsgLabel::TermStateReq => "TermStateReq",
+            MsgLabel::TermStateRep => "TermStateRep",
+            MsgLabel::PaxosVoteYes => "PaxosVoteYes",
+            MsgLabel::PaxosVoteNo => "PaxosVoteNo",
+            MsgLabel::Accepted => "Accepted",
+            MsgLabel::RepDecision => "RepDecision",
+            MsgLabel::RepAck => "RepAck",
+        }
+    }
+}
+
 /// The kind of forced log write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogLabel {
@@ -77,6 +126,41 @@ pub enum LogLabel {
     AcceptorBundle,
     /// A replicated-2PC backup's copy of the master decision record.
     ReplicaDecision,
+}
+
+impl LogLabel {
+    /// Every variant, in declaration order (`ALL[l as usize] == l`).
+    pub const ALL: [LogLabel; 11] = [
+        LogLabel::Prepare,
+        LogLabel::NoVoteAbort,
+        LogLabel::CohortPrecommit,
+        LogLabel::CohortCommit,
+        LogLabel::CohortAbort,
+        LogLabel::Collecting,
+        LogLabel::MasterPrecommit,
+        LogLabel::MasterCommit,
+        LogLabel::MasterAbort,
+        LogLabel::AcceptorBundle,
+        LogLabel::ReplicaDecision,
+    ];
+
+    /// The variant's name, exactly its `Debug` text, as a static
+    /// string: trace sinks build labels from it without formatting.
+    pub fn name(self) -> &'static str {
+        match self {
+            LogLabel::Prepare => "Prepare",
+            LogLabel::NoVoteAbort => "NoVoteAbort",
+            LogLabel::CohortPrecommit => "CohortPrecommit",
+            LogLabel::CohortCommit => "CohortCommit",
+            LogLabel::CohortAbort => "CohortAbort",
+            LogLabel::Collecting => "Collecting",
+            LogLabel::MasterPrecommit => "MasterPrecommit",
+            LogLabel::MasterCommit => "MasterCommit",
+            LogLabel::MasterAbort => "MasterAbort",
+            LogLabel::AcceptorBundle => "AcceptorBundle",
+            LogLabel::ReplicaDecision => "ReplicaDecision",
+        }
+    }
 }
 
 /// One traced step.
@@ -412,6 +496,164 @@ impl Trace {
     }
 }
 
+/// Random event streams for the sinks' differential tests. A stream
+/// mixes all 16 variants over a few transactions whose ids are dense,
+/// sparse or near `u64::MAX`; sends are local and remote; forced writes
+/// are issued with a durable record, left open at the end, or made
+/// durable without a traced issue; time stands still often enough to
+/// give zero-width intervals.
+#[cfg(test)]
+pub(crate) fn random_stream(rng: &mut simkernel::SimRng, len: usize) -> Vec<TraceEvent> {
+    let txns: Vec<TxnId> = (0..rng.uniform_usize(1, 8))
+        .map(|_| match rng.uniform_u64(0, 5) {
+            0 => rng.next_u64(),
+            1 => u64::MAX - rng.uniform_u64(0, 2),
+            2 => (1 << 24) - 1 + rng.uniform_u64(0, 2),
+            3 => rng.uniform_u64(0, 1 << 20),
+            _ => rng.uniform_u64(0, 40),
+        })
+        .collect();
+    let site = |rng: &mut simkernel::SimRng| -> SiteId {
+        if rng.chance(0.02) {
+            usize::MAX
+        } else {
+            rng.uniform_usize(0, 9)
+        }
+    };
+    let cohort = |rng: &mut simkernel::SimRng| -> CohortId {
+        if rng.chance(0.05) {
+            rng.next_u64()
+        } else {
+            rng.uniform_u64(0, 99)
+        }
+    };
+    let mut at = if rng.chance(0.1) {
+        rng.uniform_u64(0, u64::MAX / 2)
+    } else {
+        0
+    };
+    let mut issued: Vec<(TxnId, LogLabel, SiteId)> = Vec::new();
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        if rng.chance(0.7) {
+            at += rng.uniform_u64(1, 5_000);
+        }
+        let at_t = SimTime(at);
+        let txn = *rng.pick(&txns);
+        let msg = *rng.pick(&MsgLabel::ALL);
+        let log = *rng.pick(&LogLabel::ALL);
+        let e = match rng.uniform_u64(0, 17) {
+            0 | 1 => {
+                let from = site(rng);
+                let local = rng.chance(0.3);
+                TraceEvent::Send {
+                    at: at_t,
+                    txn,
+                    label: msg,
+                    from,
+                    to: if local { from } else { site(rng) },
+                    local,
+                }
+            }
+            2 | 3 => {
+                let s = site(rng);
+                issued.push((txn, log, s));
+                TraceEvent::ForceLog {
+                    at: at_t,
+                    txn,
+                    label: log,
+                    site: s,
+                }
+            }
+            4 => {
+                let (txn, label, site) = if !issued.is_empty() && rng.chance(0.7) {
+                    let i = rng.uniform_usize(0, issued.len() - 1);
+                    issued.remove(i)
+                } else {
+                    (txn, log, site(rng))
+                };
+                TraceEvent::LogDone {
+                    at: at_t,
+                    txn,
+                    label,
+                    site,
+                }
+            }
+            5 => TraceEvent::Prepared {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+                site: site(rng),
+            },
+            6 => TraceEvent::Borrowed {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+                lenders: if rng.chance(0.05) {
+                    usize::MAX
+                } else {
+                    rng.uniform_usize(0, 6)
+                },
+            },
+            7 => TraceEvent::Shelved {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+            },
+            8 => TraceEvent::Unshelved {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+            },
+            9 => TraceEvent::Decided {
+                at: at_t,
+                txn,
+                commit: rng.chance(0.5),
+            },
+            10 => TraceEvent::Aborted { at: at_t, txn },
+            11 => TraceEvent::MasterCrashed { at: at_t, txn },
+            12 => TraceEvent::CohortCrashed {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+                site: site(rng),
+            },
+            13 => TraceEvent::CohortRecovered {
+                at: at_t,
+                txn,
+                cohort: cohort(rng),
+            },
+            14 => TraceEvent::MsgLost {
+                at: at_t,
+                txn,
+                label: msg,
+            },
+            15 => TraceEvent::Retransmitted {
+                at: at_t,
+                txn,
+                label: msg,
+                attempt: if rng.chance(0.05) {
+                    u32::MAX
+                } else {
+                    rng.uniform_u64(1, 6) as u32
+                },
+            },
+            16 => TraceEvent::TerminationStarted {
+                at: at_t,
+                txn,
+                coordinator: cohort(rng),
+            },
+            _ => TraceEvent::FailoverStarted {
+                at: at_t,
+                txn,
+                leader: site(rng),
+            },
+        };
+        out.push(e);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +740,18 @@ mod tests {
             ),
             Err((1, 0))
         );
+    }
+
+    #[test]
+    fn label_names_equal_their_debug_text() {
+        for (i, l) in MsgLabel::ALL.into_iter().enumerate() {
+            assert_eq!(l as usize, i, "MsgLabel::ALL is in declaration order");
+            assert_eq!(l.name(), format!("{l:?}"));
+        }
+        for (i, l) in LogLabel::ALL.into_iter().enumerate() {
+            assert_eq!(l as usize, i, "LogLabel::ALL is in declaration order");
+            assert_eq!(l.name(), format!("{l:?}"));
+        }
     }
 
     #[test]

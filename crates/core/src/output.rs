@@ -1,11 +1,31 @@
 //! Plain-text rendering of experiment results: the "same rows/series
 //! the paper reports", as protocol × MPL tables plus CSV for plotting.
 
-use crate::engine::chrome::escape_json;
 use crate::engine::SeriesFormat;
 use crate::experiments::{Experiment, SeriesCell};
 use crate::metrics::{ReportFormat, SimReport};
 use std::fmt::Write as _;
+
+/// Escape a string for inclusion inside a JSON string literal: quote,
+/// backslash and control characters; everything else passes through.
+/// Every hand-rolled JSON writer in the workspace escapes through this.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A metric extracted from a [`SimReport`] for tabulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,6 +487,13 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::experiments::{sweep, Scale};
     use commitproto::ProtocolSpec;
+
+    #[test]
+    fn escapes_json_special_characters() {
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}\r\t"), "\\u0001\\r\\t");
+        assert_eq!(escape_json("\u{2192} plain"), "\u{2192} plain");
+    }
 
     fn tiny_experiment() -> Experiment {
         let cfg = SystemConfig::paper_baseline();

@@ -47,6 +47,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -54,6 +55,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -162,10 +164,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("truncated string")?;
+                    // Multi-byte UTF-8 sequences pass through verbatim,
+                    // decoded one char from the already-valid input:
+                    // `pos` only ever advances past ASCII bytes or
+                    // whole chars, so it sits on a char boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or("truncated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

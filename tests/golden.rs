@@ -1,7 +1,8 @@
 //! Golden-file checks for the machine-readable outputs: the JSON
-//! report and the folded-stack flamegraph lines. These formats are
-//! consumed by external tools (jq pipelines, flamegraph.pl), so any
-//! byte-level drift is a breaking change and must be deliberate.
+//! report, the folded-stack flamegraph lines and the Chrome trace.
+//! These formats are consumed by external tools (jq pipelines,
+//! flamegraph.pl, Perfetto), so any byte-level drift is a breaking
+//! change and must be deliberate.
 //!
 //! To bless an intentional change:
 //!
@@ -10,7 +11,9 @@
 //! ```
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{FoldSink, SeriesConfig, SeriesFormat, Simulation};
+use distcommit::db::engine::{
+    chrome_trace_json, FoldSink, SeriesConfig, SeriesFormat, Simulation, Trace, TraceEvent,
+};
 use distcommit::db::metrics::ReportFormat;
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
@@ -212,5 +215,75 @@ fn wan_zipf_reports_match_golden() {
     check(
         "report_wan_zipf.json",
         &format!("[{}]\n", reports.join(",\n")),
+    );
+}
+
+/// Events `range` of a traced run, serialized to Chrome JSON.
+/// Cutting the stream mid-run is what a bounded trace window does:
+/// forces issued before the window reach their durable record
+/// unmatched, and forces still in the log queue at its end are closed
+/// as incomplete. Each range below was picked to hold the events its
+/// test names, and the test asserts they are there.
+fn chrome_window(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    seed: u64,
+    range: std::ops::Range<usize>,
+) -> (Vec<TraceEvent>, String) {
+    let (_, trace) = Simulation::run_traced(cfg, spec, seed, 200).expect("valid config");
+    let window = Trace {
+        events: trace.events[range].to_vec(),
+    };
+    let json = chrome_trace_json(&window);
+    (window.events, json)
+}
+
+fn count(events: &[TraceEvent], pred: impl Fn(&TraceEvent) -> bool) -> usize {
+    events.iter().filter(|e| pred(e)).count()
+}
+
+/// The Chrome trace of a faulty 3PC window, byte for byte: a master
+/// crash and the termination protocol, cohort crashes, lost and
+/// retransmitted messages, a durable force whose issue predates the
+/// window, and forces still open when the stream ends.
+#[test]
+fn faulty_chrome_trace_matches_golden() {
+    let (events, json) = chrome_window(&faulty_cfg(), ProtocolSpec::THREE_PC, 2027, 2290..2660);
+    assert!(count(&events, |e| matches!(e, TraceEvent::MasterCrashed { .. })) > 0);
+    assert!(
+        count(&events, |e| matches!(
+            e,
+            TraceEvent::TerminationStarted { .. }
+        )) > 0
+    );
+    assert!(count(&events, |e| matches!(e, TraceEvent::CohortCrashed { .. })) > 0);
+    assert!(count(&events, |e| matches!(e, TraceEvent::MsgLost { .. })) > 0);
+    assert!(count(&events, |e| matches!(e, TraceEvent::Retransmitted { .. })) > 0);
+    assert!(json.contains(" durable\""), "an unmatched durable force");
+    assert!(json.contains("(incomplete)"), "a force open at finish");
+    assert!(json.contains("(local)") && json.contains('\u{2192}'));
+    check("chrome_faulty.json", &json);
+}
+
+/// The Chrome traces of an OPT window (borrowing, shelving and release
+/// off the shelf) and of a faulty Paxos Commit window at F = 1 (a
+/// master crash and leader failover), as one JSON array.
+#[test]
+fn opt_and_paxos_chrome_traces_match_golden() {
+    let (opt, opt_json) = chrome_window(&golden_cfg(), ProtocolSpec::OPT_2PC, 2026, 170..380);
+    assert!(count(&opt, |e| matches!(e, TraceEvent::Borrowed { .. })) > 0);
+    assert!(count(&opt, |e| matches!(e, TraceEvent::Shelved { .. })) > 0);
+    assert!(count(&opt, |e| matches!(e, TraceEvent::Unshelved { .. })) > 0);
+    let (paxos, paxos_json) = chrome_window(
+        &faulty_cfg().with_replication(1),
+        ProtocolSpec::PAXOS,
+        2027,
+        2150..2470,
+    );
+    assert!(count(&paxos, |e| matches!(e, TraceEvent::MasterCrashed { .. })) > 0);
+    assert!(count(&paxos, |e| matches!(e, TraceEvent::FailoverStarted { .. })) > 0);
+    check(
+        "chrome_opt_paxos.json",
+        &format!("[{opt_json},\n{paxos_json}]\n"),
     );
 }
