@@ -12,7 +12,7 @@ use distdb::engine::{ChromeWriter, FoldSink, Simulation, TraceSink};
 use distdb::protocol::ProtocolSpec;
 use distlocks::deadlock::{find_cycle, CycleSearch, WaitForGraph};
 use distlocks::{LockManager, LockMode};
-use simkernel::{Calendar, SimTime};
+use simkernel::{Calendar, SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -33,6 +33,42 @@ fn bench_calendar() {
         while cal.next().is_some() {}
         black_box(cal.dispatched_count())
     });
+
+    // The classic hold model at the engine's calendar sizes (MPL × sites
+    // × a few events each): every hold pops the earliest event and
+    // schedules one replacement, so the population stays fixed. Delays
+    // are exponential (mean 10 ms, in µs ticks), and a third of the
+    // pushes land at the current instant, as the engine's zero-delay
+    // continuations do.
+    let mut rng = SimRng::new(0x401D);
+    let delays: Vec<SimDuration> = (0..4096)
+        .map(|_| {
+            if rng.chance(1.0 / 3.0) {
+                SimDuration::ZERO
+            } else {
+                SimDuration((-(1.0 - rng.f64()).ln() * 10_000.0) as u64)
+            }
+        })
+        .collect();
+    const HOLDS: usize = 1_000;
+    for pending in [64usize, 256, 2048] {
+        let mut cal: Calendar<u32> = Calendar::new();
+        for i in 0..pending {
+            cal.schedule_in(delays[i % delays.len()], i as u32);
+        }
+        let mut i = 0;
+        bench_per_item(
+            &format!("calendar/hold {pending} pending"),
+            HOLDS as u64,
+            || {
+                for _ in 0..HOLDS {
+                    let (_, e) = cal.next().expect("hold keeps the calendar full");
+                    cal.schedule_in(delays[i % delays.len()], black_box(e));
+                    i += 1;
+                }
+            },
+        );
+    }
 }
 
 fn bench_lock_manager() {

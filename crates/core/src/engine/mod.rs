@@ -186,7 +186,8 @@ pub struct EngineProfile {
     /// breakdown of that section, not a further share of the total:
     /// [`EngineProfile::total_ns`] excludes it.
     pub locks_ns: u64,
-    /// Nanoseconds closing series windows (the sink's on-path cost).
+    /// Nanoseconds closing series windows (the sink's on-path cost),
+    /// timed only on window boundaries: zero without a recorder.
     pub series_ns: u64,
     /// Nanoseconds routing cross-shard mailboxes at window barriers
     /// (parallel engine only; zero on the serial path).
@@ -714,17 +715,21 @@ impl Simulation {
                     break;
                 }
             }
+            // The series section is timed only when a window actually
+            // closes, so a run without a recorder reports zero sink
+            // cost and pays no extra clock read per event.
+            let mut dispatch_start = t1;
             if now >= self.series_boundary {
                 self.close_series_windows(now);
+                dispatch_start = std::time::Instant::now();
             }
-            let t2 = std::time::Instant::now();
             self.dispatch(event);
-            let t3 = std::time::Instant::now();
+            let t2 = std::time::Instant::now();
             let p = self.profile.as_mut().expect("profiled loop");
             p.events += 1;
             p.calendar_ns += (t1 - t0).as_nanos() as u64;
-            p.series_ns += (t2 - t1).as_nanos() as u64;
-            p.dispatch_ns += (t3 - t2).as_nanos() as u64;
+            p.series_ns += (dispatch_start - t1).as_nanos() as u64;
+            p.dispatch_ns += (t2 - dispatch_start).as_nanos() as u64;
         }
     }
 

@@ -30,6 +30,26 @@ fn run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64) -> SimReport {
     Simulation::run(cfg, spec, seed).expect("valid config")
 }
 
+/// The self-profile times the series section only when a window
+/// closes: with no recorder it reports exactly zero sink cost, and with
+/// one installed the sink's real cost shows up.
+#[test]
+fn profile_charges_series_cost_only_to_an_installed_recorder() {
+    let cfg = tiny();
+    let (_, off) =
+        Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, 42, None).expect("valid config");
+    assert!(off.events > 0);
+    assert_eq!(off.series_ns, 0);
+    let series = super::SeriesConfig {
+        window: simkernel::SimDuration::from_millis(100),
+        per_site: false,
+    };
+    let (_, on) = Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, 42, Some(&series))
+        .expect("valid config");
+    assert_eq!(on.events, off.events);
+    assert!(on.series_ns > 0);
+}
+
 #[test]
 fn msgkind_labels_are_exhaustive_and_consistent() {
     use super::trace::MsgLabel as L;
