@@ -163,6 +163,22 @@ impl FailureConfig {
     }
 }
 
+/// Parse a millisecond value from outside the program — a `--faults`
+/// or `--topology` key, or a CLI flag — through
+/// [`SimDuration::try_from_millis_f64`]. Errors name `key` and say
+/// why the value was refused.
+pub fn parse_millis(key: &str, val: &str) -> Result<SimDuration, String> {
+    let ms: f64 = val
+        .parse()
+        .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
+    SimDuration::try_from_millis_f64(ms).ok_or_else(|| {
+        format!(
+            "{key}: {val:?} is not a duration in [0, {}] ms",
+            SimDuration::MAX_INPUT_MILLIS
+        )
+    })
+}
+
 impl std::str::FromStr for FailureConfig {
     type Err = String;
 
@@ -190,13 +206,6 @@ impl std::str::FromStr for FailureConfig {
                     .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
                 Ok(())
             };
-            let ms = |out: &mut SimDuration| -> Result<(), String> {
-                let v: f64 = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                *out = SimDuration::from_millis_f64(v);
-                Ok(())
-            };
             match key {
                 "mc" => num(&mut f.master_crash_prob)?,
                 "cc" => num(&mut f.cohort_crash_prob)?,
@@ -207,10 +216,10 @@ impl std::str::FromStr for FailureConfig {
                     )
                 }
                 "loss" => num(&mut f.msg_loss_prob)?,
-                "detect-ms" => ms(&mut f.detection_timeout)?,
-                "recover-ms" => ms(&mut f.recovery_time)?,
-                "cohort-recover-ms" => ms(&mut f.cohort_recovery_time)?,
-                "retry-ms" => ms(&mut f.msg_timeout)?,
+                "detect-ms" => f.detection_timeout = parse_millis(key, val)?,
+                "recover-ms" => f.recovery_time = parse_millis(key, val)?,
+                "cohort-recover-ms" => f.cohort_recovery_time = parse_millis(key, val)?,
+                "retry-ms" => f.msg_timeout = parse_millis(key, val)?,
                 "retries" => {
                     f.max_retransmits = val
                         .parse()
@@ -402,13 +411,6 @@ impl std::str::FromStr for Topology {
             let Some((key, val)) = part.split_once('=') else {
                 return Err(format!("expected key=value, got {part:?}"));
             };
-            let ms = |out: &mut SimDuration| -> Result<(), String> {
-                let v: f64 = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                *out = SimDuration::from_millis_f64(v);
-                Ok(())
-            };
             let num = |out: &mut f64| -> Result<(), String> {
                 *out = val
                     .parse()
@@ -421,8 +423,8 @@ impl std::str::FromStr for Topology {
                         .parse()
                         .map_err(|_| format!("{key}: cannot parse {val:?}"))?
                 }
-                "lan-ms" => ms(&mut t.lan_latency)?,
-                "wan-ms" => ms(&mut t.wan_latency)?,
+                "lan-ms" => t.lan_latency = parse_millis(key, val)?,
+                "wan-ms" => t.wan_latency = parse_millis(key, val)?,
                 "jitter" => num(&mut t.jitter)?,
                 "hot" => num(&mut t.hot_site_prob)?,
                 other => return Err(format!("unknown key {other:?} ({})", Self::known_keys())),
@@ -558,14 +560,6 @@ pub struct SystemConfig {
     /// protocols — degenerates Paxos Commit to plain 2PC. Ignored by
     /// (and rejected for) non-replicated protocols when positive.
     pub replication: u32,
-    /// Intra-run parallelism: number of shards the sites are
-    /// partitioned into for the conservative parallel engine. Shards
-    /// follow [`Topology`] region blocks, so the effective count is
-    /// capped at the region count. 0 (the default) keeps the serial
-    /// engine; any positive value opts into the parallel path when the
-    /// configuration supports it (see `engine`'s dispatch rules) and
-    /// produces output independent of the shard count.
-    pub shards: u32,
     /// Run-length control.
     pub run: RunConfig,
 }
@@ -605,7 +599,6 @@ impl SystemConfig {
             read_only_optimization: false,
             model_deferred_writes: false,
             replication: 0,
-            shards: 0,
             run: RunConfig::default(),
         }
     }
@@ -735,14 +728,6 @@ impl SystemConfig {
         self
     }
 
-    /// Set the shard count for the conservative parallel engine (0
-    /// keeps the serial engine).
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Pages per site (`DBSize / NumSites`; validation requires the
     /// division to be exact).
     pub fn pages_per_site(&self) -> u64 {
@@ -857,9 +842,6 @@ impl SystemConfig {
                     return Err(Invalid("crash-region must name an existing region"));
                 }
             }
-        }
-        if self.shards as usize > self.num_sites {
-            return Err(Invalid("shards cannot exceed num_sites"));
         }
         if self.run.measured_transactions == 0 {
             return Err(Invalid("measured_transactions must be positive"));
@@ -1105,6 +1087,14 @@ mod tests {
         assert!(e.contains("mc: cannot parse \"x\""), "{e}");
         let e = "retries=1.5".parse::<FailureConfig>().unwrap_err();
         assert!(e.contains("retries"), "{e}");
+        // Millisecond keys refuse what no duration can be, by name.
+        for key in ["detect-ms", "recover-ms", "cohort-recover-ms", "retry-ms"] {
+            for val in ["-1", "nan", "inf", "1e30"] {
+                let e = format!("{key}={val}").parse::<FailureConfig>().unwrap_err();
+                assert!(e.starts_with(&format!("{key}: ")), "{e}");
+                assert!(e.contains("not a duration"), "{e}");
+            }
+        }
     }
 
     #[test]
@@ -1182,6 +1172,15 @@ mod tests {
         assert!(e.contains("expected key=value"), "{e}");
         let e = "wan-ms=x".parse::<Topology>().unwrap_err();
         assert!(e.contains("wan-ms: cannot parse \"x\""), "{e}");
+        for key in ["lan-ms", "wan-ms"] {
+            for val in ["-1", "nan", "inf", "1e30"] {
+                let e = format!("regions=4,{key}={val}")
+                    .parse::<Topology>()
+                    .unwrap_err();
+                assert!(e.starts_with(&format!("{key}: ")), "{e}");
+                assert!(e.contains("not a duration"), "{e}");
+            }
+        }
     }
 
     #[test]

@@ -76,12 +76,26 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
+    /// Largest millisecond value [`SimDuration::try_from_millis_f64`]
+    /// accepts: one simulated day — far above any span the model uses,
+    /// and far below where the microsecond clock could overflow.
+    pub const MAX_INPUT_MILLIS: f64 = 86_400_000.0;
+
     /// Construct from fractional milliseconds, rounding to the nearest
     /// microsecond.
     #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
         assert!(ms >= 0.0, "durations cannot be negative");
         SimDuration((ms * 1_000.0).round() as u64)
+    }
+
+    /// [`SimDuration::from_millis_f64`] for values read from outside
+    /// the program: `None` for NaN, infinities, negative values and
+    /// values above [`SimDuration::MAX_INPUT_MILLIS`].
+    pub fn try_from_millis_f64(ms: f64) -> Option<Self> {
+        (0.0..=Self::MAX_INPUT_MILLIS)
+            .contains(&ms)
+            .then(|| Self::from_millis_f64(ms))
     }
 
     /// Microseconds in this span.
@@ -215,6 +229,27 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
         assert_eq!(SimDuration::from_millis_f64(0.0004).as_micros(), 0);
         assert_eq!(SimDuration::from_millis_f64(0.0006).as_micros(), 1);
+        // The fallible form agrees inside its range and refuses the rest.
+        let max = SimDuration::MAX_INPUT_MILLIS;
+        assert_eq!(
+            SimDuration::try_from_millis_f64(1.5),
+            Some(SimDuration::from_micros(1_500))
+        );
+        assert_eq!(
+            SimDuration::try_from_millis_f64(max),
+            Some(SimDuration::from_secs(86_400))
+        );
+        for bad in [
+            -1.0,
+            -0.001,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            max + 1.0,
+            1e30,
+        ] {
+            assert_eq!(SimDuration::try_from_millis_f64(bad), None, "{bad}");
+        }
     }
 
     #[test]
