@@ -10,6 +10,7 @@ use distbench::micro::{bench, bench_per_item, bench_with_setup};
 use distdb::config::SystemConfig;
 use distdb::engine::{ChromeWriter, FoldSink, Simulation, TraceSink};
 use distdb::protocol::ProtocolSpec;
+use distdb::workload::{TxnTemplate, WorkloadGenerator};
 use distlocks::deadlock::{find_cycle, CycleSearch, WaitForGraph};
 use distlocks::{LockManager, LockMode};
 use simkernel::{Calendar, SimDuration, SimRng, SimTime};
@@ -72,6 +73,8 @@ fn bench_calendar() {
 }
 
 fn bench_lock_manager() {
+    // Grants go to one reused buffer, as in the engine.
+    let mut grants = Vec::new();
     bench("locks/request-release 1k no-conflict", || {
         let mut lm = LockManager::new(false);
         let owners: Vec<_> = (0..16u64).map(|s| lm.register_owner(s)).collect();
@@ -79,7 +82,9 @@ fn bench_lock_manager() {
             black_box(lm.request(owners[(i % 16) as usize], i, LockMode::Update));
         }
         for &owner in &owners {
-            black_box(lm.release_all(owner));
+            lm.release_all_into(owner, &mut grants);
+            black_box(grants.len());
+            grants.clear();
         }
     });
 
@@ -95,7 +100,11 @@ fn bench_lock_manager() {
             }
             (lm, holder)
         },
-        |(mut lm, holder)| black_box(lm.release_all(holder)),
+        |(mut lm, holder)| {
+            grants.clear();
+            lm.release_all_into(holder, &mut grants);
+            black_box(grants.len())
+        },
     );
 
     bench_with_setup(
@@ -112,8 +121,37 @@ fn bench_lock_manager() {
             }
             (lm, lender)
         },
-        |(mut lm, lender)| black_box(lm.mark_prepared(lender)),
+        |(mut lm, lender)| {
+            grants.clear();
+            lm.mark_prepared(lender, &mut grants);
+            black_box(grants.len())
+        },
     );
+}
+
+/// Template generation into one reused template, as the engine draws
+/// every fresh transaction: the paper's uniform baseline, and the
+/// wan-zipf workload's Zipf(0.9) alias sampler over 64 sites.
+fn bench_workload() {
+    let mut zipf = SystemConfig::paper_baseline().with_zipf(0.9);
+    zipf.num_sites = 64;
+    zipf.db_size = 64_000;
+    for (name, cfg) in [
+        ("uniform", SystemConfig::paper_baseline()),
+        ("zipf0.9 64 sites", zipf),
+    ] {
+        let gen = WorkloadGenerator::new(&cfg, ProtocolSpec::TWO_PC.base);
+        let sites = gen.effective_sites();
+        let mut rng = SimRng::new(0x6E4E);
+        let mut t = TxnTemplate::default();
+        const N: usize = 1_000;
+        bench_per_item(&format!("workload/generate_into {name}"), N as u64, || {
+            for i in 0..N {
+                gen.generate_into(i % sites, &mut rng, &mut t);
+            }
+            black_box(t.total_pages())
+        });
+    }
 }
 
 /// Adjacency lists in both directions, as the search's graph.
@@ -242,6 +280,7 @@ fn main() {
     distbench::banner("micro", "hot-path micro-benchmarks");
     bench_calendar();
     bench_lock_manager();
+    bench_workload();
     bench_deadlock();
     bench_sinks();
     bench_simulation();

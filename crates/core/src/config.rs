@@ -798,6 +798,15 @@ impl SystemConfig {
             if !z.theta.is_finite() || z.theta < 0.0 {
                 return Err(Invalid("zipf theta must be finite and non-negative"));
             }
+            if zipf_tail_mass(self.pages_per_site(), self.max_cohort_pages() - 1, z.theta)
+                < MIN_ZIPF_TAIL_MASS
+            {
+                return Err(Invalid(
+                    "--zipf: theta too skewed: under 1e-4 of a site's accesses fall outside \
+                     its 1.5 * cohort_size - 1 hottest pages, so a cohort's distinct pages \
+                     cannot be drawn",
+                ));
+            }
         }
         if let Some(t) = &self.topology {
             if t.regions == 0 {
@@ -846,6 +855,26 @@ impl SystemConfig {
         if self.run.measured_transactions == 0 {
             return Err(Invalid("measured_transactions must be positive"));
         }
+        if (self.run.warmup_transactions)
+            .checked_add(self.run.measured_transactions)
+            .is_none()
+        {
+            return Err(Invalid(
+                "--warmup: warm-up plus measured transactions overflow a 64-bit count",
+            ));
+        }
+        let replicas = 2 * self.replication as u128 + 1;
+        let pending = self.num_sites as u128
+            * self.mpl as u128
+            * (self.dist_degree as u128 + 1)
+            * replicas
+            * EVENTS_PER_PARTICIPANT;
+        if pending > MAX_PENDING_EVENTS as u128 {
+            return Err(Invalid(
+                "--mpl: the closed population (sites * mpl) could have more events \
+                 pending than the event calendar's 2^24 slots",
+            ));
+        }
         if self.run.batches < 2 {
             return Err(Invalid(
                 "at least two batches are needed for a confidence interval",
@@ -853,6 +882,37 @@ impl SystemConfig {
         }
         Ok(())
     }
+}
+
+/// The event calendar's capacity: simultaneously pending events are
+/// addressed by 24-bit slots.
+const MAX_PENDING_EVENTS: u64 = 1 << 24;
+
+/// Events one participant of a transaction (its master or one cohort,
+/// per decision replica) can have pending at once, at most: a service
+/// completion, a message in flight, its retransmission timer and a
+/// crash-recovery timer. `validate` bounds the closed population by
+/// `MAX_PENDING_EVENTS` with it.
+const EVENTS_PER_PARTICIPANT: u128 = 4;
+
+/// The least share of a site's Zipf access mass that must fall outside
+/// its `max_cohort_pages - 1` hottest pages. Below it, the rejection
+/// draw of a cohort's distinct pages practically never finds its last
+/// page (at θ = 12 it would take ~10^11 draws).
+const MIN_ZIPF_TAIL_MASS: f64 = 1e-4;
+
+/// Zipf(θ) probability mass beyond the `head` most popular of `n` ranks.
+fn zipf_tail_mass(n: u64, head: u64, theta: f64) -> f64 {
+    let (mut head_mass, mut tail_mass) = (0.0, 0.0);
+    for k in 1..=n {
+        let w = (k as f64).powf(-theta);
+        if k <= head {
+            head_mass += w;
+        } else {
+            tail_mass += w;
+        }
+    }
+    tail_mass / (head_mass + tail_mass)
 }
 
 /// Configuration validation failure.
@@ -994,6 +1054,35 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.run.batches = 1;
         assert!(c.validate().is_err());
+
+        // Skew so extreme that a cohort's distinct pages cannot be
+        // drawn: the rejection loop would never finish.
+        for theta in [6.0, 12.0, 1e308] {
+            let c = SystemConfig::paper_baseline().with_zipf(theta);
+            let e = c.validate().unwrap_err().to_string();
+            assert!(e.contains("--zipf"), "{e}");
+        }
+        SystemConfig::paper_baseline()
+            .with_zipf(4.0)
+            .validate()
+            .unwrap();
+
+        // A population the calendar's 2^24 slots cannot address.
+        let e = SystemConfig::paper_baseline().with_mpl(4_000_000_000);
+        assert!(e.validate().unwrap_err().to_string().contains("--mpl"));
+        let mut c = SystemConfig::paper_baseline().with_mpl(100_000);
+        c.validate().unwrap();
+        c.replication = 1; // three decision replicas per participant
+        assert!(c.validate().is_err());
+
+        // warmup + measured would wrap the run's commit target.
+        let c = SystemConfig::paper_baseline().with_run_length(u64::MAX - 5, 10);
+        let e = c.validate().unwrap_err().to_string();
+        assert!(e.contains("--warmup"), "{e}");
+        SystemConfig::paper_baseline()
+            .with_run_length(u64::MAX - 10, 10)
+            .validate()
+            .unwrap();
     }
 
     #[test]

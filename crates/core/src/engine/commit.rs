@@ -8,7 +8,9 @@
 //! phase-1 messages are routed, who takes over on a crash — is a
 //! column of the table, never a `match` on the protocol name.
 
-use super::types::{CohortH, CohortId, CohortPhase, LogWork, MsgKind, TxnH, TxnPhase, Vote};
+use super::types::{
+    CohortH, CohortId, CohortPhase, LogWork, MsgKind, Parked, TxnH, TxnPhase, Vote,
+};
 use super::Simulation;
 use crate::config::TransType;
 use crate::metrics::AbortReason;
@@ -176,16 +178,15 @@ impl Simulation {
             // Each acceptor waits for every cohort's vote, forces its
             // bundle, and reports ACCEPTED to the leader (the master,
             // co-located with acceptor 0).
-            t.acc_pending = vec![t.cohorts.len() as u32; group];
+            let n = t.cohorts.len() as u32;
+            t.acc_pending.clear();
+            t.acc_pending.resize(group, n);
             t.accepts_outstanding = group;
         }
         let home = t.home;
-        let targets: Vec<(CohortH, usize)> = t
-            .cohorts
-            .iter()
-            .map(|&c| (c, self.cohorts[c].site))
-            .collect();
-        for (cohort, site) in targets {
+        for i in 0..t.cohorts.len() {
+            let cohort = self.txns[txn].cohorts[i];
+            let site = self.cohorts[cohort].site;
             self.send(home, site, MsgKind::Prepare { cohort });
         }
     }
@@ -258,11 +259,14 @@ impl Simulation {
                 .all(|a| !a.update)
         {
             let home = self.txns[txn].home;
-            let locks = &mut self.sites[site].locks;
-            debug_assert!(!locks.has_live_borrows(owner), "shelf rule was bypassed");
-            locks.drop_borrower(owner);
-            let grants = locks.release_all(owner);
-            self.process_grants(site, grants);
+            debug_assert!(
+                !self.sites[site].locks.has_live_borrows(owner),
+                "shelf rule was bypassed"
+            );
+            self.with_grants(site, |locks, grants| {
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+            });
             let reply = MsgKind::Vote {
                 txn,
                 cohort,
@@ -275,8 +279,9 @@ impl Simulation {
 
         // "the cohort releases all its read locks but retains its update
         // locks until it receives and implements the global decision"
-        let grants = self.sites[site].locks.release_read_locks(owner);
-        self.process_grants(site, grants);
+        self.with_grants(site, |locks, grants| {
+            locks.release_read_locks(owner, grants)
+        });
 
         let votes_no =
             self.cfg.cohort_abort_prob > 0.0 && self.rng.chance(self.cfg.cohort_abort_prob);
@@ -303,14 +308,14 @@ impl Simulation {
         // A NO voter was never prepared, so it cannot have lent data;
         // it may itself have borrowed (all lenders committed, or it
         // could not have sent WORKDONE).
-        let locks = &mut self.sites[site].locks;
         assert!(
-            locks.borrowers_of(owner).next().is_none(),
+            self.sites[site].locks.borrowers_of(owner).next().is_none(),
             "NO voter lent data"
         );
-        locks.drop_borrower(owner);
-        let grants = locks.release_all(owner);
-        self.process_grants(site, grants);
+        self.with_grants(site, |locks, grants| {
+            locks.drop_borrower(owner);
+            locks.release_all_into(owner, grants);
+        });
         match self.table.routing {
             Routing::Chain => {
                 // The veto turns the chain around: predecessors (all
@@ -364,8 +369,7 @@ impl Simulation {
             return;
         }
         let home = self.txns[txn].home;
-        let grants = self.sites[site].locks.mark_prepared(owner);
-        self.process_grants(site, grants);
+        self.with_grants(site, |locks, grants| locks.mark_prepared(owner, grants));
         match self.table.routing {
             Routing::Chain => self.linear_forward(cohort),
             Routing::Quorum => self.quorum_vote(cohort, txn, true),
@@ -501,8 +505,7 @@ impl Simulation {
                 // The replayed prepare record re-enters the prepared
                 // state: only now do the locks become lendable (a down
                 // site cannot serve borrow requests).
-                let grants = self.sites[site].locks.mark_prepared(owner);
-                self.process_grants(site, grants);
+                self.with_grants(site, |locks, grants| locks.mark_prepared(owner, grants));
                 if self.table.routing == Routing::Quorum {
                     // The crash hit before the vote fan-out left (the
                     // roll precedes the sends), so the acceptors are
@@ -573,18 +576,10 @@ impl Simulation {
             return;
         }
         let no_vote = t.no_vote;
-        let cohort_hs = t.cohorts.clone();
         // Phase-two participants: cohorts still alive (READ voters
         // already left the slab — via `cohort_done`, or via parting
         // once their vote was received above).
-        let participants = cohort_hs
-            .iter()
-            .filter(|&&c| {
-                self.cohorts
-                    .get(c)
-                    .is_some_and(|x| x.phase != CohortPhase::Parted)
-            })
-            .count();
+        let participants = self.participants(txn).count();
         if no_vote {
             self.decide(txn, false);
         } else if participants == 0 {
@@ -604,23 +599,10 @@ impl Simulation {
     /// 3PC: the master's precommit record is on disk — run the
     /// precommit round (participants only; READ voters dropped out).
     pub(crate) fn master_precommit_logged(&mut self, txn: TxnH) {
-        let t = self.txns.get_mut(txn).expect("live txn");
-        let home = t.home;
-        let targets: Vec<(CohortH, usize)> = t
-            .cohorts
-            .iter()
-            .filter_map(|&c| {
-                self.cohorts
-                    .get(c)
-                    .filter(|x| x.phase != CohortPhase::Parted)
-                    .map(|x| (c, x.site))
-            })
-            .collect();
-        let t = self.txns.get_mut(txn).expect("live txn");
-        t.pending_preacks = targets.len();
-        for (cohort, site) in targets {
-            self.send(home, site, MsgKind::PreCommit { cohort });
-        }
+        let home = self.txns[txn].home;
+        let participants = self.participants(txn).count();
+        self.txns[txn].pending_preacks = participants;
+        self.send_to_participants(txn, home, |cohort| MsgKind::PreCommit { cohort });
     }
 
     pub(crate) fn cohort_precommit(&mut self, cohort: CohortH, attempt: u32) {
@@ -781,15 +763,8 @@ impl Simulation {
         let t = self.txns.get(txn).expect("live txn");
         debug_assert!(self.table.precommit);
         let txn_ext = t.id;
-        let mut live: Vec<(CohortH, usize, CohortId)> = t
-            .cohorts
-            .iter()
-            .filter_map(|&c| {
-                self.cohorts
-                    .get(c)
-                    .filter(|x| x.phase != CohortPhase::Parted)
-                    .map(|x| (c, x.site, x.id))
-            })
+        let mut live: Vec<(CohortH, usize, CohortId)> = (self.participants(txn))
+            .map(|(c, site)| (c, site, self.cohorts[c].id))
             .collect();
         live.sort_by_key(|&(_, site, cid)| (site, cid));
         let (_, coord_site, coordinator) = live[0];
@@ -933,8 +908,7 @@ impl Simulation {
             self.metrics.phase_voting.record(now.since(started));
             self.cal.schedule_now(super::types::Event::Submit {
                 home,
-                template: None,
-                original_birth: None,
+                restart: None,
             });
             self.note_commit_for_run_control();
         } else {
@@ -943,16 +917,17 @@ impl Simulation {
                 at,
                 txn: txn_ext,
             });
+            // The transaction lives on until its cohorts implement
+            // the abort, so the restart gets a (pooled) copy.
+            let mut template = self.pools.templates.pop().unwrap_or_default();
             let t = self.txns.get(txn).expect("live txn");
-            let template = t.template.clone();
+            template.clone_from(&t.template);
             let original_birth = t.original_birth;
-            let delay = self.restart_delay();
-            self.cal.schedule_in(
-                delay,
-                super::types::Event::Submit {
-                    home,
-                    template: Some(Box::new(template)),
-                    original_birth: Some(original_birth),
+            self.schedule_restart(
+                home,
+                Parked {
+                    template,
+                    original_birth,
                 },
             );
         }
@@ -962,8 +937,8 @@ impl Simulation {
             // record — every cohort completes instantly, no messages
             // (§5.1).
             debug_assert!(commit);
-            let cohort_hs = self.txns[txn].cohorts.clone();
-            for ch in cohort_hs {
+            for i in 0..self.txns[txn].cohorts.len() {
+                let ch = self.txns[txn].cohorts[i];
                 self.baseline_finish_cohort(ch);
             }
             let t = self.txns.get_mut(txn).expect("live txn");
@@ -972,28 +947,15 @@ impl Simulation {
         } else {
             // Send the decision to the surviving (prepared /
             // precommitted) cohorts; NO voters aborted unilaterally.
-            let t = &self.txns[txn];
-            let targets: Vec<(CohortH, usize)> = t
-                .cohorts
-                .iter()
-                .filter_map(|&ch| {
-                    self.cohorts
-                        .get(ch)
-                        .filter(|c| c.phase != CohortPhase::Parted)
-                        .map(|c| (ch, c.site))
-                })
-                .collect();
             let acks = if self.table.cohort_ack.on(commit) {
-                targets.len()
+                self.participants(txn).count()
             } else {
                 0
             };
             let t = self.txns.get_mut(txn).expect("live txn");
             t.pending_acks = acks;
             t.master_done = acks == 0;
-            for (cohort, site) in targets {
-                self.send(control, site, MsgKind::Decision { cohort, commit });
-            }
+            self.send_to_participants(txn, control, |cohort| MsgKind::Decision { cohort, commit });
             self.try_cleanup(txn);
         }
     }
@@ -1001,15 +963,9 @@ impl Simulation {
     /// CENT/DPCC: a cohort's instant completion at the decision point.
     fn baseline_finish_cohort(&mut self, cohort: CohortH) {
         let c = self.cohorts.get(cohort).expect("live cohort");
-        let (site, txn, owner, acc_index) = (c.site, c.txn, c.lock_owner, c.acc_index);
-        let writes: Vec<(usize, u64)> = self.txns[txn].template.accesses[acc_index]
-            .iter()
-            .filter(|a| a.update)
-            .map(|a| (site, a.page))
-            .collect();
-        let grants = self.sites[site].locks.release_all(owner);
-        self.process_grants(site, grants);
-        self.enqueue_deferred_writes(&writes);
+        let (site, owner) = (c.site, c.lock_owner);
+        self.with_grants(site, |locks, grants| locks.release_all_into(owner, grants));
+        self.enqueue_deferred_writes(cohort);
         self.cohort_done(cohort);
     }
 
@@ -1046,10 +1002,10 @@ impl Simulation {
         if c.phase == CohortPhase::WorkDone {
             debug_assert!(self.table.routing == Routing::Chain && !commit);
             let (site, owner) = (c.site, c.lock_owner);
-            let locks = &mut self.sites[site].locks;
-            locks.drop_borrower(owner);
-            let grants = locks.release_all(owner);
-            self.process_grants(site, grants);
+            self.with_grants(site, |locks, grants| {
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+            });
             self.cohort_done(cohort);
             return;
         }
@@ -1095,19 +1051,10 @@ impl Simulation {
     /// acknowledge if the protocol wants it.
     pub(crate) fn cohort_finish_decision(&mut self, cohort: CohortH, commit: bool) {
         let c = self.cohorts.get(cohort).expect("live cohort");
-        let (site, txn, owner, acc_index) = (c.site, c.txn, c.lock_owner, c.acc_index);
+        let (site, txn, owner) = (c.site, c.txn, c.lock_owner);
         // ACKs go wherever protocol control lives (the termination
         // coordinator after a 3PC master crash).
         let home = self.txns[txn].control_site();
-        let writes: Vec<(usize, u64)> = if commit {
-            self.txns[txn].template.accesses[acc_index]
-                .iter()
-                .filter(|a| a.update)
-                .map(|a| (site, a.page))
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Order matters: the cohort's borrow edges are settled and its
         // locks released *before* any borrower is unshelved or aborted.
@@ -1115,22 +1062,24 @@ impl Simulation {
         // drain queues and grant fresh borrows against this cohort —
         // which is still marked prepared until `release_all` — leaving
         // dangling borrow edges to a dead lender (a shelf hang).
+        let mut owners = std::mem::take(&mut self.pools.owners);
+        let mut borrowers = std::mem::take(&mut self.pools.borrowers);
         let sref = &mut self.sites[site];
-        let borrower_owners = sref.locks.settle_borrows(owner);
+        sref.locks.settle_borrows(owner, &mut owners);
         debug_assert!(
             !sref.locks.has_live_borrows(owner),
             "a deciding cohort cannot be borrowing"
         );
         sref.locks.drop_borrower(owner);
-        let grants = sref.locks.release_all(owner);
         // Resolve borrower owner slots to cohorts before any teardown
         // below can unregister (and recycle) them.
-        let borrowers: Vec<CohortH> = borrower_owners.iter().map(|&o| sref.cohort_of(o)).collect();
-        self.process_grants(site, grants);
-        self.enqueue_deferred_writes(&writes);
+        borrowers.extend(owners.drain(..).map(|o| sref.cohort_of(o)));
+        self.pools.owners = owners;
+        self.with_grants(site, |locks, grants| locks.release_all_into(owner, grants));
 
         if commit {
-            for b in borrowers {
+            self.enqueue_deferred_writes(cohort);
+            for &b in &borrowers {
                 let unshelve = match self.cohorts.get(b) {
                     Some(bc) if bc.phase == CohortPhase::OnShelf => {
                         !self.sites[site].locks.has_live_borrows(bc.lock_owner)
@@ -1144,7 +1093,7 @@ impl Simulation {
                 }
             }
         } else {
-            for b in borrowers {
+            for &b in &borrowers {
                 if let Some(bc) = self.cohorts.get(b) {
                     // "the borrower is also aborted since it has utilized
                     // inconsistent data" (§3)
@@ -1153,6 +1102,8 @@ impl Simulation {
                 }
             }
         }
+        borrowers.clear();
+        self.pools.borrowers = borrowers;
 
         if self.table.cohort_ack.on(commit) {
             let req = self.cohorts[cohort].req_attempt;
@@ -1301,7 +1252,33 @@ impl Simulation {
                 self.metrics.phase_decision.record(now.since(decided));
                 self.check_commit_overheads(&t);
             }
+            self.recycle(t);
         }
+    }
+
+    /// The transaction's cohorts still in the protocol (not parted),
+    /// with their sites, in cohort order.
+    fn participants(&self, txn: TxnH) -> impl Iterator<Item = (CohortH, usize)> + '_ {
+        (self.txns[txn].cohorts.iter()).filter_map(|&c| Some((c, self.participant_site(c)?)))
+    }
+
+    /// Send `msg(cohort)` from `from` to every participant, in cohort
+    /// order.
+    fn send_to_participants(&mut self, txn: TxnH, from: usize, msg: impl Fn(CohortH) -> MsgKind) {
+        for i in 0..self.txns[txn].cohorts.len() {
+            let cohort = self.txns[txn].cohorts[i];
+            if let Some(site) = self.participant_site(cohort) {
+                self.send(from, site, msg(cohort));
+            }
+        }
+    }
+
+    /// The site of cohort `c` while it takes part in the protocol.
+    fn participant_site(&self, c: CohortH) -> Option<usize> {
+        self.cohorts
+            .get(c)
+            .filter(|x| x.phase != CohortPhase::Parted)
+            .map(|x| x.site)
     }
 
     // ------------------------------------------------------------------

@@ -4,15 +4,15 @@
 //! cascades).
 
 use super::types::{
-    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase,
+    Cohort, CohortH, CohortId, CohortPhase, DiskJob, MsgKind, Parked, Txn, TxnH, TxnPhase,
 };
 use super::{Simulation, Site};
 use crate::config::TransType;
 use crate::metrics::AbortReason;
-use crate::workload::{SiteId, TxnTemplate};
+use crate::workload::SiteId;
 use distlocks::deadlock::WaitForGraph;
 use distlocks::{Grant, LockMode, RequestOutcome};
-use simkernel::{SimTime, Slab};
+use simkernel::Slab;
 
 impl Simulation {
     // ------------------------------------------------------------------
@@ -20,15 +20,18 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Submit a transaction at `home`; restarts carry their original
-    /// template and birth instant.
-    pub(crate) fn submit_txn(
-        &mut self,
-        home: SiteId,
-        template: Option<TxnTemplate>,
-        original_birth: Option<SimTime>,
-    ) {
+    /// template and birth instant, fresh transactions draw a template
+    /// into a recycled one.
+    pub(crate) fn submit_txn(&mut self, home: SiteId, restart: Option<Parked>) {
         let now = self.cal.now();
-        let template = template.unwrap_or_else(|| self.wl.generate(home, &mut self.rng));
+        let (template, original_birth) = match restart {
+            Some(p) => (p.template, p.original_birth),
+            None => {
+                let mut t = self.pools.templates.pop().unwrap_or_default();
+                self.wl.generate_into(home, &mut self.rng, &mut t);
+                (t, now)
+            }
+        };
         let txn_id = self.alloc_txn_id();
         let n = template.sites.len();
 
@@ -37,8 +40,8 @@ impl Simulation {
             home,
             template,
             birth: now,
-            original_birth: original_birth.unwrap_or(now),
-            cohorts: Vec::new(),
+            original_birth,
+            cohorts: self.pools.cohort_lists.pop().unwrap_or_default(),
             phase: TxnPhase::Executing,
             pending_workdone: n,
             pending_votes: 0,
@@ -51,7 +54,7 @@ impl Simulation {
             master_done: false,
             coordinator_site: None,
             pending_term_reps: 0,
-            acc_pending: Vec::new(),
+            acc_pending: self.pools.acc_lists.pop().unwrap_or_default(),
             accepts_outstanding: 0,
             pending_rep_acks: 0,
             commit_started: None,
@@ -63,7 +66,6 @@ impl Simulation {
             crashed_at: None,
         });
 
-        let mut cohort_hs = Vec::with_capacity(n);
         for i in 0..n {
             let (site, n_accesses) = {
                 let t = &self.txns[th].template;
@@ -73,7 +75,9 @@ impl Simulation {
             // The cohort id is the lock-table registration sequence:
             // globally unique and monotone, so every seq-sorted output
             // of the table reproduces the historical id order.
-            let owner = self.sites[site].locks.register_owner(cid);
+            let locks = &mut self.sites[site].locks;
+            let owner = locks.register_owner(cid);
+            locks.reserve(owner, self.max_cohort_pages);
             let ch = self.cohorts.insert(Cohort {
                 id: cid,
                 txn: th,
@@ -99,23 +103,23 @@ impl Simulation {
             } else {
                 mirror[owner.index()] = ch;
             }
-            cohort_hs.push(ch);
+            self.txns[th].cohorts.push(ch);
         }
-        self.txns[th].cohorts = cohort_hs.clone();
         self.metrics.live_txns.add(now, 1.0);
 
         match self.cfg.trans_type {
             TransType::Parallel => {
                 // All cohorts started together (§4.1). The local cohort
                 // starts directly; remote ones via an initiation message.
-                for &ch in &cohort_hs {
+                for i in 0..n {
+                    let ch = self.txns[th].cohorts[i];
                     self.start_cohort(ch, home);
                 }
             }
             TransType::Sequential => {
                 // Only the first (local) cohort starts; the rest chain
                 // off WORKDONE arrivals.
-                self.start_cohort(cohort_hs[0], home);
+                self.start_cohort(self.txns[th].cohorts[0], home);
             }
         }
     }
@@ -163,10 +167,10 @@ impl Simulation {
             LockMode::Read
         };
         match self.sites[site].locks.request(owner, access.page, mode) {
-            RequestOutcome::Granted { borrowed_from } => {
-                if !borrowed_from.is_empty() {
+            RequestOutcome::Granted { lenders } => {
+                if lenders > 0 {
                     self.metrics.borrowed_pages.bump();
-                    let lenders = borrowed_from.len();
+                    let lenders = lenders as usize;
                     let txn = self.txns[th].id;
                     self.trace_event(txn, |at| super::trace::TraceEvent::Borrowed {
                         at,
@@ -260,7 +264,7 @@ impl Simulation {
     /// Apply grants returned by a state change of `site`'s lock table:
     /// unblock each waiter and resume its access (the read it was
     /// waiting to issue).
-    pub(crate) fn process_grants(&mut self, site: SiteId, grants: Vec<Grant>) {
+    pub(crate) fn process_grants(&mut self, site: SiteId, grants: &[Grant]) {
         for g in grants {
             let ch = self.sites[site].cohort_of(g.owner);
             let Some(c) = self.cohorts.get_mut(ch) else {
@@ -273,9 +277,9 @@ impl Simulation {
             c.waiting_lock = false;
             let (th, cid) = (c.txn, c.id);
             self.txn_unblock(th);
-            if !g.borrowed_from.is_empty() {
+            if g.lenders > 0 {
                 self.metrics.borrowed_pages.bump();
-                let lenders = g.borrowed_from.len();
+                let lenders = g.lenders as usize;
                 let txn = self.txns[th].id;
                 self.trace_event(txn, |at| super::trace::TraceEvent::Borrowed {
                     at,
@@ -393,26 +397,29 @@ impl Simulation {
         if txn.blocked_cohorts > 0 {
             self.metrics.blocked_txns.add(now, -1.0);
         }
-        let home = txn.home;
-        let original_birth = txn.original_birth;
-        let txn_ext = txn.id;
-        let cohort_hs = txn.cohorts.clone();
+        let (home, txn_ext, n) = (txn.home, txn.id, txn.cohorts.len());
         // Tear the cohorts down; collect cascade victims (borrowers of
         // this transaction's cohorts — impossible here since none is
         // prepared, asserted below).
-        for ch in cohort_hs {
+        for i in 0..n {
+            let ch = self.txns[th].cohorts[i];
             let Some(c) = self.cohorts.remove(ch) else {
                 continue;
             };
-            let locks = &mut self.sites[c.site].locks;
+            let owner = c.lock_owner;
             assert!(
-                locks.borrowers_of(c.lock_owner).next().is_none(),
+                self.sites[c.site]
+                    .locks
+                    .borrowers_of(owner)
+                    .next()
+                    .is_none(),
                 "an executing cohort cannot have lent data"
             );
-            locks.drop_borrower(c.lock_owner);
-            let grants = locks.release_all(c.lock_owner);
-            locks.unregister(c.lock_owner);
-            self.process_grants(c.site, grants);
+            self.with_grants(c.site, |locks, grants| {
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+                locks.unregister(owner);
+            });
         }
         let txn = self.txns.remove(th).expect("checked above");
         self.metrics.live_txns.add(now, -1.0);
@@ -421,15 +428,21 @@ impl Simulation {
             at,
             txn: txn_ext,
         });
-        let delay = self.restart_delay();
-        self.cal.schedule_in(
-            delay,
-            Event::Submit {
-                home,
-                template: Some(Box::new(txn.template)),
-                original_birth: Some(original_birth),
+        let Txn {
+            template,
+            original_birth,
+            cohorts,
+            acc_pending,
+            ..
+        } = txn;
+        self.schedule_restart(
+            home,
+            Parked {
+                template,
+                original_birth,
             },
         );
+        self.recycle_lists(cohorts, acc_pending);
     }
 
     // ------------------------------------------------------------------
@@ -481,12 +494,17 @@ impl Simulation {
 
     /// Deferred write-back of a committed cohort's updates: the pages go
     /// to the data disks asynchronously; nothing waits on them (§4.1).
-    pub(crate) fn enqueue_deferred_writes(&mut self, cohort_accesses: &[(SiteId, u64)]) {
+    pub(crate) fn enqueue_deferred_writes(&mut self, cohort: CohortH) {
         if !self.cfg.model_deferred_writes {
             return;
         }
-        for &(site, page) in cohort_accesses {
-            self.data_disk_arrive(site, page, DiskJob::AsyncWrite);
+        let c = &self.cohorts[cohort];
+        let (site, th, acc_index) = (c.site, c.txn, c.acc_index);
+        for i in 0..self.txns[th].template.accesses[acc_index].len() {
+            let a = self.txns[th].template.accesses[acc_index][i];
+            if a.update {
+                self.data_disk_arrive(site, a.page, DiskJob::AsyncWrite);
+            }
         }
     }
 }

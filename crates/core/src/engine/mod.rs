@@ -32,13 +32,16 @@ use crate::config::{ConfigError, ResourceMode, SystemConfig};
 use crate::metrics::{
     LatencySummary, Metrics, PhaseLatencies, ResourceReport, ResourceStats, SimReport, Utilizations,
 };
-use crate::workload::{SiteId, WorkloadGenerator};
+use crate::workload::{SiteId, TxnTemplate, WorkloadGenerator};
 use commitproto::{ProtocolSpec, Routing, SpecTable};
 use distlocks::deadlock::CycleSearch;
-use distlocks::{LockManager, OwnerId};
+use distlocks::{Grant, LockManager, OwnerId};
 use simkernel::stats::Tally;
 use simkernel::{Calendar, JobClass, SimDuration, SimRng, SimTime, Slab, Station};
-use types::{Cohort, CohortH, CpuJob, DiskJob, Event, LogWork, Message, MsgKind, Retry, Txn, TxnH};
+use types::{
+    Cohort, CohortH, CpuJob, DiskJob, Event, LogWork, Message, MsgKind, Parked, ParkedH, Retry,
+    Txn, TxnH,
+};
 
 /// Accumulates per-station observations into one [`ResourceStats`] for
 /// a resource class *within one site* (utilizations/queue depths
@@ -112,6 +115,20 @@ impl Site {
     }
 }
 
+/// Recycled per-transaction buffers and the engine's lock-table
+/// scratch.
+#[derive(Default)]
+pub(crate) struct Pools {
+    pub templates: Vec<TxnTemplate>,
+    pub cohort_lists: Vec<Vec<CohortH>>,
+    pub acc_lists: Vec<Vec<u32>>,
+    /// Grants of the lock-table change being applied.
+    pub grants: Vec<Grant>,
+    /// Borrowers of a settling lender, as owners and as cohorts.
+    pub owners: Vec<OwnerId>,
+    pub borrowers: Vec<CohortH>,
+}
+
 /// A run of the simulator. Construct and execute with [`Simulation::run`].
 pub struct Simulation {
     pub(crate) cfg: SystemConfig,
@@ -139,6 +156,9 @@ pub struct Simulation {
     done: bool,
     truncated: bool,
     pages_per_site_eff: u64,
+    /// Largest cohort access list (§4: `1.5 × CohortSize`); lock owners
+    /// reserve room for it up front.
+    max_cohort_pages: usize,
     /// Per-site-pair wire latency (flattened row-major `n×n`), built
     /// once from the topology's dedicated RNG stream. `None` without a
     /// topology; zero entries take the classic instantaneous-switch
@@ -150,6 +170,13 @@ pub struct Simulation {
     /// the simulation so a check allocates nothing in steady state.
     cycle_search: CycleSearch<TxnH>,
     blocker_keys: Vec<(CohortId, TxnH)>,
+    /// Restarts waiting out their delay, addressed by `Event::Submit`.
+    parked: Slab<ParkedH, Parked>,
+    /// Free lists refilled whenever a transaction is forgotten. The
+    /// population is closed (MPL per site), so once every list has seen
+    /// the largest live population, a run allocates nothing per
+    /// transaction.
+    pub(crate) pools: Pools,
     /// Optional trace-event consumer; events are recorded for
     /// transactions with id ≤ `trace_txn_limit`.
     sink: Option<Box<dyn TraceSink>>,
@@ -520,11 +547,14 @@ impl Simulation {
             done: false,
             truncated: false,
             pages_per_site_eff,
+            max_cohort_pages: cfg.max_cohort_pages() as usize,
             // Keyed by *effective* sites: CENT's merged site pool has
             // no inter-site links, so its matrix is empty/diagonal.
             wire_latency: cfg.topology.map(|t| t.latency_matrix(num_sites, seed)),
             cycle_search: CycleSearch::new(),
             blocker_keys: Vec::new(),
+            parked: Slab::new(),
+            pools: Pools::default(),
             sink: None,
             trace_txn_limit: 0,
             series: None,
@@ -538,8 +568,7 @@ impl Simulation {
             for _ in 0..mpl_per_site {
                 sim.cal.schedule_now(Event::Submit {
                     home,
-                    template: None,
-                    original_birth: None,
+                    restart: None,
                 });
             }
         }
@@ -623,12 +652,9 @@ impl Simulation {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Submit {
-                home,
-                template,
-                original_birth,
-            } => {
-                self.submit_txn(home, template.map(|b| *b), original_birth);
+            Event::Submit { home, restart } => {
+                let restart = restart.map(|h| self.parked.remove(h).expect("parked restart"));
+                self.submit_txn(home, restart);
             }
             Event::CpuDone { site, job } => {
                 let now = self.cal.now();
@@ -1151,6 +1177,50 @@ impl Simulation {
     /// primary — is co-located with the master.
     pub(crate) fn acceptor_site(&self, home: SiteId, k: u32) -> SiteId {
         (home + k as usize) % self.sites.len()
+    }
+
+    /// Park an aborted transaction's template until its restart
+    /// delay has passed.
+    pub(crate) fn schedule_restart(&mut self, home: SiteId, parked: Parked) {
+        let delay = self.restart_delay();
+        let h = self.parked.insert(parked);
+        self.cal.schedule_in(
+            delay,
+            Event::Submit {
+                home,
+                restart: Some(h),
+            },
+        );
+    }
+
+    /// Return a forgotten transaction's buffers to the free lists.
+    pub(crate) fn recycle(&mut self, t: Txn) {
+        self.pools.templates.push(t.template);
+        self.recycle_lists(t.cohorts, t.acc_pending);
+    }
+
+    /// Return a forgotten transaction's cohort and acceptor lists to
+    /// the free lists.
+    pub(crate) fn recycle_lists(&mut self, mut cohorts: Vec<CohortH>, mut acc: Vec<u32>) {
+        cohorts.clear();
+        acc.clear();
+        self.pools.cohort_lists.push(cohorts);
+        self.pools.acc_lists.push(acc);
+    }
+
+    /// Apply a state change of `site`'s lock table: `change` appends
+    /// the grants it releases to the recycled grant buffer, and each
+    /// waiter granted is resumed.
+    pub(crate) fn with_grants(
+        &mut self,
+        site: SiteId,
+        change: impl FnOnce(&mut LockManager, &mut Vec<Grant>),
+    ) {
+        let mut grants = std::mem::take(&mut self.pools.grants);
+        change(&mut self.sites[site].locks, &mut grants);
+        self.process_grants(site, &grants);
+        grants.clear();
+        self.pools.grants = grants;
     }
 
     pub(crate) fn alloc_txn_id(&mut self) -> TxnId {

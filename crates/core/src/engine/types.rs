@@ -51,17 +51,36 @@ impl SlabKey for CohortH {
     }
 }
 
+/// Slab handle of a restart parked until its resubmission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ParkedH(Handle);
+
+impl SlabKey for ParkedH {
+    fn from_handle(h: Handle) -> Self {
+        ParkedH(h)
+    }
+    fn handle(self) -> Handle {
+        self.0
+    }
+}
+
+/// An aborted transaction waiting out its restart delay: it "makes the
+/// same data accesses as its original incarnation" (§4) and keeps its
+/// original birth for the response-time account.
+#[derive(Debug)]
+pub(crate) struct Parked {
+    pub template: TxnTemplate,
+    pub original_birth: SimTime,
+}
+
 /// A simulation event.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
-    /// Submit a transaction at `home`. `template`/`original_birth` are
-    /// set for restarts (an aborted transaction "makes the same data
-    /// accesses as its original incarnation", §4) and `None` for fresh
-    /// submissions.
+    /// Submit a transaction at `home`: a restart parked at `restart`,
+    /// or a fresh transaction when `None`.
     Submit {
         home: SiteId,
-        template: Option<Box<TxnTemplate>>,
-        original_birth: Option<SimTime>,
+        restart: Option<ParkedH>,
     },
     /// A CPU service completed at `site`.
     CpuDone { site: SiteId, job: CpuJob },

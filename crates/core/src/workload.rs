@@ -27,7 +27,7 @@ pub struct Access {
 
 /// The immutable plan of one transaction: where its cohorts run and
 /// what each accesses. Restarted incarnations reuse the template.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TxnTemplate {
     /// The originating site (master and first cohort live here).
     pub home: SiteId,
@@ -35,6 +35,25 @@ pub struct TxnTemplate {
     pub sites: Vec<SiteId>,
     /// Access list per cohort, parallel to `sites`.
     pub accesses: Vec<Vec<Access>>,
+}
+
+/// `clone_from` reuses the destination's buffers (a derived `Clone`
+/// would allocate fresh ones), which the engine relies on to copy a
+/// template for a restart into a recycled one.
+impl Clone for TxnTemplate {
+    fn clone(&self) -> Self {
+        TxnTemplate {
+            home: self.home,
+            sites: self.sites.clone(),
+            accesses: self.accesses.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.home = src.home;
+        self.sites.clone_from(&src.sites);
+        self.accesses.clone_from(&src.accesses);
+    }
 }
 
 impl TxnTemplate {
@@ -139,6 +158,8 @@ pub struct WorkloadGenerator {
     zipf: Option<ZipfSampler>,
     hot_site_prob: f64,
     centralized: bool,
+    /// The largest cohort `around_mean` can draw.
+    max_cohort_pages: usize,
 }
 
 impl WorkloadGenerator {
@@ -158,6 +179,7 @@ impl WorkloadGenerator {
                 .map(|z| ZipfSampler::new(cfg.pages_per_site(), z.theta)),
             hot_site_prob: cfg.topology.map_or(0.0, |t| t.hot_site_prob),
             centralized: base.table().centralized,
+            max_cohort_pages: cfg.max_cohort_pages() as usize,
         }
     }
 
@@ -190,7 +212,18 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Generate a fresh template originating at `home`.
+    /// Generate a fresh template originating at `home`: a wrapper over
+    /// [`Self::generate_into`] for callers without a template to reuse.
+    pub fn generate(&self, home: SiteId, rng: &mut SimRng) -> TxnTemplate {
+        let mut t = TxnTemplate::default();
+        self.generate_into(home, rng, &mut t);
+        t
+    }
+
+    /// Overwrite `t` with a fresh template originating at `home`,
+    /// reusing its `sites`/`accesses` buffers: once they have grown to
+    /// the configuration's largest transaction, generation allocates
+    /// nothing.
     ///
     /// For the CENT baseline `home` must be 0 and the transaction keeps
     /// its `DistDegree`-cohort structure — all cohorts local to the one
@@ -198,14 +231,25 @@ impl WorkloadGenerator {
     /// §5.1 defines CENT as "equivalent (in terms of database size and
     /// physical resources)": the workload is unchanged, only messages
     /// and distributed commit processing disappear.
-    pub fn generate(&self, home: SiteId, rng: &mut SimRng) -> TxnTemplate {
+    pub fn generate_into(&self, home: SiteId, rng: &mut SimRng, t: &mut TxnTemplate) {
+        let d = self.dist_degree as usize;
+        t.sites.clear();
+        // Room for the cohorts' sites plus the page-sampling scratch
+        // `cohort_accesses` appends behind them.
+        t.sites.reserve(d + self.max_cohort_pages);
+        t.accesses.resize_with(d, Vec::new);
+        for cohort in &mut t.accesses {
+            // Room for the largest cohort, so a recycled template never
+            // grows again.
+            cohort.clear();
+            cohort.reserve(self.max_cohort_pages);
+        }
         if self.centralized {
             assert_eq!(home, 0, "CENT has a single merged site");
-            let mut taken = std::collections::HashSet::new();
-            let mut accesses = Vec::with_capacity(self.dist_degree as usize);
-            for _ in 0..self.dist_degree {
+            t.home = 0;
+            t.sites.resize(d, 0);
+            for c in 0..d {
                 let n = rng.around_mean(self.cohort_size) as usize;
-                let mut cohort = Vec::with_capacity(n);
                 for _ in 0..n {
                     // distinct pages across the whole transaction, so
                     // sibling cohorts never self-conflict; drawn as
@@ -215,8 +259,8 @@ impl WorkloadGenerator {
                     loop {
                         let site = rng.uniform_u64(0, self.num_sites as u64 - 1);
                         let p = site * self.pages_per_site + self.local_page(rng);
-                        if taken.insert(p) {
-                            cohort.push(Access {
+                        if !t.accesses[..=c].iter().flatten().any(|a| a.page == p) {
+                            t.accesses[c].push(Access {
                                 page: p,
                                 update: rng.chance(self.update_prob),
                             });
@@ -224,19 +268,13 @@ impl WorkloadGenerator {
                         }
                     }
                 }
-                accesses.push(cohort);
             }
-            let sites = vec![0; self.dist_degree as usize];
-            return TxnTemplate {
-                home: 0,
-                sites,
-                accesses,
-            };
+            return;
         }
 
-        let mut sites = Vec::with_capacity(self.dist_degree as usize);
-        sites.push(home);
-        if self.dist_degree > 1 {
+        t.home = home;
+        t.sites.push(home);
+        if d > 1 {
             // Topology hot site: with probability `hot`, site 0 is
             // forced into the cohort set, concentrating traffic there.
             // The roll is skipped entirely when the feature is off, so
@@ -244,69 +282,68 @@ impl WorkloadGenerator {
             // unchanged without a hot site.
             let force_hot = self.hot_site_prob > 0.0 && home != 0 && rng.chance(self.hot_site_prob);
             if force_hot {
-                sites.push(0);
+                t.sites.push(0);
             }
-            let remaining = self.dist_degree as usize - sites.len();
+            let remaining = d - t.sites.len();
             if remaining > 0 {
+                let start = t.sites.len();
                 if force_hot {
                     // map 0..num_sites-2 onto all sites except {0, home}
-                    let picks = rng.sample_distinct(self.num_sites - 2, remaining);
-                    for p in picks {
-                        let mut site = p + 1;
-                        if site >= home {
-                            site += 1;
+                    rng.sample_distinct_into(self.num_sites - 2, remaining, &mut t.sites);
+                    for site in &mut t.sites[start..] {
+                        *site += 1;
+                        if *site >= home {
+                            *site += 1;
                         }
-                        sites.push(site);
                     }
                 } else {
                     // Remote sites: distinct, uniform over the others;
                     // map 0..num_sites-1 onto all sites except `home`.
-                    let picks = rng.sample_distinct(self.num_sites - 1, remaining);
-                    for p in picks {
-                        let site = if p < home { p } else { p + 1 };
-                        sites.push(site);
+                    rng.sample_distinct_into(self.num_sites - 1, remaining, &mut t.sites);
+                    for site in &mut t.sites[start..] {
+                        if *site >= home {
+                            *site += 1;
+                        }
                     }
                 }
             }
         }
-        let accesses = sites
-            .iter()
-            .map(|&s| self.cohort_accesses(s, rng))
-            .collect();
-        TxnTemplate {
-            home,
-            sites,
-            accesses,
+        for c in 0..d {
+            self.cohort_accesses(t, c, rng);
         }
     }
 
-    fn cohort_accesses(&self, site: SiteId, rng: &mut SimRng) -> Vec<Access> {
+    /// Fill cohort `c`'s access list (its site is `t.sites[c]`).
+    fn cohort_accesses(&self, t: &mut TxnTemplate, c: usize, rng: &mut SimRng) {
         let n = rng.around_mean(self.cohort_size) as usize;
-        let base = site as u64 * self.pages_per_site;
+        let base = t.sites[c] as u64 * self.pages_per_site;
         if self.hot_spot.is_none() && self.zipf.is_none() {
-            return rng
-                .sample_distinct(self.pages_per_site as usize, n)
-                .into_iter()
-                .map(|local| Access {
-                    page: base + local as u64,
-                    update: rng.chance(self.update_prob),
-                })
-                .collect();
+            // Draw every page index first, then every update flag. The
+            // indices go to the spare tail of `sites` — a usize buffer
+            // the template already owns — and are cut off again after.
+            let d = t.sites.len();
+            rng.sample_distinct_into(self.pages_per_site as usize, n, &mut t.sites);
+            for j in d..d + n {
+                let page = base + t.sites[j] as u64;
+                let update = rng.chance(self.update_prob);
+                t.accesses[c].push(Access { page, update });
+            }
+            t.sites.truncate(d);
+            return;
         }
-        // Skewed draw with rejection for distinctness (the hot region
-        // always holds at least one full cohort, see config validation).
-        let mut taken = std::collections::HashSet::with_capacity(n);
-        let mut out = Vec::with_capacity(n);
+        // Skewed draw with rejection for distinctness against the pages
+        // already drawn (the hot region always holds at least one full
+        // cohort, see config validation).
+        let out = &mut t.accesses[c];
         while out.len() < n {
-            let local = self.local_page(rng);
-            if taken.insert(local) {
+            let page = base + self.local_page(rng);
+            if !out.iter().any(|a| a.page == page) {
                 out.push(Access {
-                    page: base + local,
+                    page,
                     update: rng.chance(self.update_prob),
                 });
             }
         }
-        out
     }
 
     /// The site a global page id lives on.
@@ -743,6 +780,181 @@ mod tests {
         let mut rb = SimRng::new(9);
         for home in 0..8 {
             assert_eq!(ga.generate(home, &mut ra), gb.generate(home, &mut rb));
+        }
+    }
+
+    // ---- generator differential ---------------------------------------
+
+    /// The allocating generator `generate_into` replaced (a fresh
+    /// `Vec` per cohort, `HashSet` distinctness checks).
+    fn generate_reference(g: &WorkloadGenerator, home: SiteId, rng: &mut SimRng) -> TxnTemplate {
+        if g.centralized {
+            assert_eq!(home, 0, "CENT has a single merged site");
+            let mut taken = std::collections::HashSet::new();
+            let mut accesses = Vec::with_capacity(g.dist_degree as usize);
+            for _ in 0..g.dist_degree {
+                let n = rng.around_mean(g.cohort_size) as usize;
+                let mut cohort = Vec::with_capacity(n);
+                for _ in 0..n {
+                    // distinct pages across the whole transaction, so
+                    // sibling cohorts never self-conflict; drawn as
+                    // (uniform virtual site, hot-or-cold local page) so
+                    // CENT sees the same access distribution as the
+                    // distributed system
+                    loop {
+                        let site = rng.uniform_u64(0, g.num_sites as u64 - 1);
+                        let p = site * g.pages_per_site + g.local_page(rng);
+                        if taken.insert(p) {
+                            cohort.push(Access {
+                                page: p,
+                                update: rng.chance(g.update_prob),
+                            });
+                            break;
+                        }
+                    }
+                }
+                accesses.push(cohort);
+            }
+            let sites = vec![0; g.dist_degree as usize];
+            return TxnTemplate {
+                home: 0,
+                sites,
+                accesses,
+            };
+        }
+
+        let mut sites = Vec::with_capacity(g.dist_degree as usize);
+        sites.push(home);
+        if g.dist_degree > 1 {
+            // Topology hot site: with probability `hot`, site 0 is
+            // forced into the cohort set, concentrating traffic there.
+            // The roll is skipped entirely when the feature is off, so
+            // the RNG stream — and every existing report — is
+            // unchanged without a hot site.
+            let force_hot = g.hot_site_prob > 0.0 && home != 0 && rng.chance(g.hot_site_prob);
+            if force_hot {
+                sites.push(0);
+            }
+            let remaining = g.dist_degree as usize - sites.len();
+            if remaining > 0 {
+                if force_hot {
+                    // map 0..num_sites-2 onto all sites except {0, home}
+                    let picks = rng.sample_distinct(g.num_sites - 2, remaining);
+                    for p in picks {
+                        let mut site = p + 1;
+                        if site >= home {
+                            site += 1;
+                        }
+                        sites.push(site);
+                    }
+                } else {
+                    // Remote sites: distinct, uniform over the others;
+                    // map 0..num_sites-1 onto all sites except `home`.
+                    let picks = rng.sample_distinct(g.num_sites - 1, remaining);
+                    for p in picks {
+                        let site = if p < home { p } else { p + 1 };
+                        sites.push(site);
+                    }
+                }
+            }
+        }
+        let accesses = sites
+            .iter()
+            .map(|&s| cohort_accesses_reference(g, s, rng))
+            .collect();
+        TxnTemplate {
+            home,
+            sites,
+            accesses,
+        }
+    }
+
+    fn cohort_accesses_reference(
+        g: &WorkloadGenerator,
+        site: SiteId,
+        rng: &mut SimRng,
+    ) -> Vec<Access> {
+        let n = rng.around_mean(g.cohort_size) as usize;
+        let base = site as u64 * g.pages_per_site;
+        if g.hot_spot.is_none() && g.zipf.is_none() {
+            return rng
+                .sample_distinct(g.pages_per_site as usize, n)
+                .into_iter()
+                .map(|local| Access {
+                    page: base + local as u64,
+                    update: rng.chance(g.update_prob),
+                })
+                .collect();
+        }
+        // Skewed draw with rejection for distinctness (the hot region
+        // always holds at least one full cohort, see config validation).
+        let mut taken = std::collections::HashSet::with_capacity(n);
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let local = g.local_page(rng);
+            if taken.insert(local) {
+                out.push(Access {
+                    page: base + local,
+                    update: rng.chance(g.update_prob),
+                });
+            }
+        }
+        out
+    }
+
+    /// `generate_into` over one reused, dirty template equals the
+    /// reference draw for draw, and leaves the RNG where it left it.
+    #[test]
+    fn generate_into_matches_the_reference() {
+        let hot = HotSpot {
+            data_fraction: 0.2,
+            access_fraction: 0.8,
+        };
+        let mut hot_spot = SystemConfig::paper_baseline();
+        hot_spot.hot_spot = Some(hot);
+        let mut cent_hot = SystemConfig::paper_baseline();
+        cent_hot.hot_spot = Some(hot);
+        let mut zipf64 = SystemConfig::paper_baseline().with_zipf(0.9);
+        zipf64.num_sites = 64;
+        zipf64.db_size = 64_000;
+        let hot_site = SystemConfig::paper_baseline().with_topology("hot=0.3".parse().unwrap());
+        let mut wide = SystemConfig::paper_baseline();
+        wide.dist_degree = 5;
+        let cells = [
+            (
+                "uniform",
+                SystemConfig::paper_baseline(),
+                BaseProtocol::TwoPC,
+            ),
+            ("wide", wide, BaseProtocol::TwoPC),
+            ("hot-spot", hot_spot, BaseProtocol::TwoPC),
+            ("zipf0.9 64 sites", zipf64, BaseProtocol::TwoPC),
+            (
+                "cent",
+                SystemConfig::paper_baseline(),
+                BaseProtocol::Centralized,
+            ),
+            ("cent hot-spot", cent_hot, BaseProtocol::Centralized),
+            ("hot site", hot_site, BaseProtocol::TwoPC),
+        ];
+        let mut t = TxnTemplate::default();
+        for (name, cfg, base) in cells {
+            cfg.validate().unwrap();
+            let g = WorkloadGenerator::new(&cfg, base);
+            let sites = g.effective_sites();
+            for seed in 0..1_000u64 {
+                let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+                for i in 0..3 {
+                    let home = (seed as usize + i) % sites;
+                    g.generate_into(home, &mut a, &mut t);
+                    assert_eq!(
+                        t,
+                        generate_reference(&g, home, &mut b),
+                        "{name} seed {seed}"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "{name} seed {seed}");
+            }
         }
     }
 }

@@ -26,6 +26,8 @@
 //! reference implementation.
 
 pub mod deadlock;
+#[cfg(test)]
+mod reference;
 pub mod table;
 
 pub use table::{Grant, LockManager, LockMode, OwnerId, PageId, RequestOutcome};

@@ -24,20 +24,28 @@
 //! # Storage layout
 //!
 //! The table is hot-path state touched on every page access of every
-//! simulated transaction, so it is laid out densely:
+//! simulated transaction, so it is laid out densely and, once warm,
+//! never allocates:
 //!
 //! * Owners are *registered* up front ([`LockManager::register_owner`])
-//!   and addressed by a dense slot index ([`OwnerId`]); slots are
-//!   recycled through a free list when owners unregister. All per-owner
+//!   and addressed by a dense slot index ([`OwnerId`]). All per-owner
 //!   state (held pages, waiting request, prepared flag, borrow edges)
 //!   lives in one `OwnerState` record — no hashing anywhere on the
-//!   request/release paths.
+//!   request/release paths. Unregistering leaves the record in place,
+//!   empty, on a free list; the next registration reuses it together
+//!   with the capacity of its `held`/`lends`/`borrows` lists.
 //! * Pages live in a flat `Vec` indexed by `page % page_modulus`.
 //!   Callers must keep the page ids used against one table *injective*
 //!   modulo the modulus (the engine passes its pages-per-site, and page
 //!   ids within a site are distinct residues by construction);
 //!   [`LockManager::new`] uses an identity mapping for callers with
 //!   small page ids.
+//! * A page entry is 32 bytes: two inline holder slots, a boxed spill
+//!   list used only from the third concurrent holder on, and the head
+//!   and tail of the page's FIFO wait list. The wait list is threaded
+//!   through the waiting owners' records (`next_wait`), which works
+//!   because an owner has at most one outstanding request, so an idle
+//!   page owns no heap memory at all.
 //! * Each owner's `held` list is kept **sorted by page** at all times,
 //!   so every bulk release walks pages in ascending order without a
 //!   per-call sort. Determinism (bit-for-bit reproducible runs) is by
@@ -49,9 +57,7 @@
 //!
 //! The table never schedules events and never decides policy: all
 //! outcomes (grants released by state changes, borrowers to abort) are
-//! returned to the caller.
-
-use std::collections::VecDeque;
+//! handed to the caller, appended to caller-owned buffers.
 
 /// A page (data item) identifier, unique within a site.
 pub type PageId = u64;
@@ -62,7 +68,7 @@ pub type PageId = u64;
 /// only while the owner stays registered; the slot is recycled after
 /// [`LockManager::unregister`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OwnerId(u32);
+pub struct OwnerId(pub(crate) u32);
 
 impl OwnerId {
     /// The dense slot index backing this handle. Stable while the owner
@@ -91,12 +97,12 @@ impl LockMode {
 }
 
 /// Outcome of [`LockManager::request`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
-    /// Lock granted. `borrowed_from` lists the prepared lenders whose
-    /// conflicting locks were borrowed through (empty for a plain
-    /// grant).
-    Granted { borrowed_from: Vec<OwnerId> },
+    /// Lock granted through `lenders` prepared lenders' conflicting
+    /// locks (zero for a plain grant; [`LockManager::lenders_of`]
+    /// names them).
+    Granted { lenders: u32 },
     /// The owner already holds the page in this or a stronger mode.
     AlreadyHeld,
     /// The request queued. Query [`LockManager::blockers_of`] (or walk
@@ -107,7 +113,7 @@ pub enum RequestOutcome {
 }
 
 /// A grant released by a state change (release, abort, prepare).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// The owner whose waiting request was just granted.
     pub owner: OwnerId,
@@ -115,40 +121,159 @@ pub struct Grant {
     pub page: PageId,
     /// The granted mode.
     pub mode: LockMode,
-    /// Prepared lenders borrowed through (empty for a plain grant).
-    pub borrowed_from: Vec<OwnerId>,
+    /// Prepared lenders borrowed through (zero for a plain grant).
+    pub lenders: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WaitReq {
+/// Sentinel for "no owner": an empty holder slot or the end of a wait
+/// list.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Holder {
     owner: u32,
     mode: LockMode,
-    /// True when the owner already holds the page in `Read` mode and is
-    /// waiting to upgrade.
-    upgrade: bool,
 }
 
-#[derive(Debug, Default)]
+impl Holder {
+    const EMPTY: Holder = Holder {
+        owner: NIL,
+        mode: LockMode::Read,
+    };
+}
+
+/// One page's lock state (32 bytes; see the module docs).
+#[derive(Debug)]
 struct PageLock {
-    holders: Vec<(u32, LockMode)>,
-    queue: VecDeque<WaitReq>,
+    /// Inline holder slots; `owner == NIL` marks a free slot.
+    slots: [Holder; 2],
+    /// Holders beyond the two inline slots. Allocated at a page's first
+    /// third concurrent holder and kept (empty) afterwards. Boxed so the
+    /// field is one pointer: a bare `Vec` would take 24 of the 32 bytes.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<Holder>>>,
+    /// First and last waiting owner (slots), linked through
+    /// `OwnerState::next_wait`; `NIL` when nobody waits.
+    head: u32,
+    tail: u32,
 }
 
-/// All state of one registered owner, in one record.
+impl Default for PageLock {
+    fn default() -> Self {
+        PageLock {
+            slots: [Holder::EMPTY; 2],
+            spill: None,
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl PageLock {
+    fn spilled(&self) -> &[Holder] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Current holders; order unspecified.
+    #[inline]
+    fn holders(&self) -> impl Iterator<Item = Holder> + '_ {
+        let inline = self.slots.iter().filter(|h| h.owner != NIL);
+        inline.chain(self.spilled()).copied()
+    }
+
+    /// Holder position `i`: the inline slots, then the spill list.
+    #[inline]
+    fn holder_at(&self, i: usize) -> Holder {
+        match i {
+            0 | 1 => self.slots[i],
+            _ => self.spilled()[i - 2],
+        }
+    }
+
+    fn holder_count(&self) -> usize {
+        self.slots.iter().filter(|h| h.owner != NIL).count() + self.spilled().len()
+    }
+
+    fn add_holder(&mut self, h: Holder) {
+        match self.slots.iter_mut().find(|s| s.owner == NIL) {
+            Some(slot) => *slot = h,
+            None => self.spill.get_or_insert_default().push(h),
+        }
+    }
+
+    /// Drop `owner`'s holder entry, if any. A freed inline slot takes
+    /// over a spilled holder so the inline slots fill first.
+    fn remove_holder(&mut self, owner: u32) {
+        if let Some(i) = self.slots.iter().position(|s| s.owner == owner) {
+            let refill = self.spill.as_mut().and_then(|v| v.pop());
+            self.slots[i] = refill.unwrap_or(Holder::EMPTY);
+        } else if let Some(v) = self.spill.as_mut() {
+            v.retain(|h| h.owner != owner);
+        }
+    }
+
+    /// Set `owner`'s held mode to `Update`; false if it holds nothing.
+    fn promote(&mut self, owner: u32) -> bool {
+        let spilled = self
+            .spill
+            .as_deref_mut()
+            .map_or(&mut [][..], |v| &mut v[..]);
+        match self
+            .slots
+            .iter_mut()
+            .chain(spilled)
+            .find(|h| h.owner == owner)
+        {
+            Some(h) => {
+                h.mode = LockMode::Update;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// All state of one owner slot, in one record. A vacant slot keeps its
+/// record with every list empty (see [`LockManager::audit`]).
 #[derive(Debug)]
 struct OwnerState {
     /// Caller-assigned sequence number (the engine's cohort id). Unique
     /// among live owners; the determinism key for every sorted output.
     seq: u64,
-    /// `(page, strongest mode held)`, kept sorted by page ascending.
-    held: Vec<(PageId, LockMode)>,
+    live: bool,
+    prepared: bool,
+    /// Mode and kind of the outstanding request (valid while `waiting`).
+    wait_mode: LockMode,
+    /// True when the owner already holds the page in `Read` mode and is
+    /// waiting to upgrade.
+    upgrade: bool,
+    /// The next owner in the same page's wait list, or `NIL`.
+    next_wait: u32,
     /// The single outstanding waiting request, if any.
     waiting: Option<PageId>,
-    prepared: bool,
+    /// `(page, strongest mode held)`, kept sorted by page ascending.
+    held: Vec<(PageId, LockMode)>,
     /// Borrowers with a live borrow edge from this owner (slots).
     lends: Vec<u32>,
     /// Lenders this owner has a live borrow edge to (slots).
     borrows: Vec<u32>,
+}
+
+impl OwnerState {
+    fn vacant() -> Self {
+        OwnerState {
+            seq: 0,
+            live: false,
+            prepared: false,
+            wait_mode: LockMode::Read,
+            upgrade: false,
+            next_wait: NIL,
+            waiting: None,
+            held: Vec::new(),
+            lends: Vec::new(),
+            borrows: Vec::new(),
+        }
+    }
 }
 
 /// One site's lock table (see module docs).
@@ -158,7 +283,7 @@ pub struct LockManager {
     /// Pages are stored at slot `page % page_modulus`.
     page_modulus: u64,
     pages: Vec<PageLock>,
-    owners: Vec<Option<OwnerState>>,
+    owners: Vec<OwnerState>,
     free_owners: Vec<u32>,
     /// Count of owners with `waiting.is_some()`.
     waiting_owners: usize,
@@ -200,33 +325,41 @@ impl LockManager {
     /// (must be unique among live owners — the engine passes the
     /// globally unique cohort id). Returns its dense handle.
     pub fn register_owner(&mut self, seq: u64) -> OwnerId {
-        let st = OwnerState {
-            seq,
-            held: Vec::new(),
-            waiting: None,
-            prepared: false,
-            lends: Vec::new(),
-            borrows: Vec::new(),
-        };
         self.registered += 1;
-        match self.free_owners.pop() {
-            Some(slot) => {
-                debug_assert!(self.owners[slot as usize].is_none());
-                self.owners[slot as usize] = Some(st);
-                OwnerId(slot)
-            }
+        let slot = match self.free_owners.pop() {
+            Some(slot) => slot,
             None => {
-                self.owners.push(Some(st));
-                OwnerId((self.owners.len() - 1) as u32)
+                let mut st = OwnerState::vacant();
+                if self.opt_lending {
+                    // Room for the usual few borrow edges up front: a
+                    // record's first lend or borrow can come long after
+                    // its creation, and should not allocate then.
+                    st.lends.reserve(4);
+                    st.borrows.reserve(4);
+                }
+                self.owners.push(st);
+                (self.owners.len() - 1) as u32
             }
-        }
+        };
+        let st = &mut self.owners[slot as usize];
+        debug_assert!(!st.live, "free list holds a live owner");
+        st.seq = seq;
+        st.live = true;
+        OwnerId(slot)
+    }
+
+    /// Make room for `owner` to hold `pages` locks without the table
+    /// allocating. A recycled record keeps the room for its next owner.
+    pub fn reserve(&mut self, owner: OwnerId, pages: usize) {
+        let held = &mut self.st_mut(owner).held;
+        held.reserve(pages.saturating_sub(held.len()));
     }
 
     /// Unregister `owner`, recycling its slot. Panics if the owner
     /// still holds locks, waits, lends, borrows, or is prepared — the
     /// caller must fully tear it down first.
     pub fn unregister(&mut self, owner: OwnerId) {
-        let st = self.st(owner);
+        let st = self.st_mut(owner);
         assert!(
             st.held.is_empty()
                 && st.waiting.is_none()
@@ -236,7 +369,7 @@ impl LockManager {
             "owner seq {} unregistered with live lock state",
             st.seq
         );
-        self.owners[owner.index()] = None;
+        st.live = false;
         self.free_owners.push(owner.0);
         self.registered -= 1;
     }
@@ -246,7 +379,7 @@ impl LockManager {
     pub fn owner_seq(&self, owner: OwnerId) -> Option<u64> {
         self.owners
             .get(owner.index())
-            .and_then(|o| o.as_ref())
+            .filter(|s| s.live)
             .map(|s| s.seq)
     }
 
@@ -257,31 +390,37 @@ impl LockManager {
 
     #[inline]
     fn st(&self, owner: OwnerId) -> &OwnerState {
-        self.owners[owner.index()]
-            .as_ref()
-            .expect("unregistered lock owner")
+        let st = &self.owners[owner.index()];
+        assert!(st.live, "unregistered lock owner");
+        st
     }
 
     #[inline]
     fn st_mut(&mut self, owner: OwnerId) -> &mut OwnerState {
-        self.owners[owner.index()]
-            .as_mut()
-            .expect("unregistered lock owner")
+        let st = &mut self.owners[owner.index()];
+        assert!(st.live, "unregistered lock owner");
+        st
     }
 
     #[inline]
     fn seq_of(&self, slot: u32) -> u64 {
-        self.owners[slot as usize]
-            .as_ref()
-            .expect("unregistered lock owner")
-            .seq
+        self.st(OwnerId(slot)).seq
     }
 
     #[inline]
     fn prepared_slot(&self, slot: u32) -> bool {
-        self.owners[slot as usize]
-            .as_ref()
-            .is_some_and(|s| s.prepared)
+        self.owners
+            .get(slot as usize)
+            .is_some_and(|s| s.live && s.prepared)
+    }
+
+    /// Whether holder `h` keeps a `mode` requester other than itself
+    /// waiting: a conflicting lock that is not lendable.
+    #[inline]
+    fn hard_conflict(&self, h: Holder, requester: u32, mode: LockMode) -> bool {
+        h.owner != requester
+            && !h.mode.compatible(mode)
+            && !(self.opt_lending && self.prepared_slot(h.owner))
     }
 
     #[inline]
@@ -300,6 +439,70 @@ impl LockManager {
 
     fn page_ro(&self, page: PageId) -> Option<&PageLock> {
         self.pages.get(self.page_slot(page))
+    }
+
+    /// The owners waiting on page slot `pi`, head first.
+    fn queue(&self, pi: usize) -> impl Iterator<Item = u32> + '_ {
+        let head = self.pages.get(pi).map_or(NIL, |e| e.head);
+        self.wait_chain(head)
+    }
+
+    /// `first` and the owners linked behind it.
+    fn wait_chain(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = (first != NIL).then_some(first);
+        std::iter::successors(first, |&o| {
+            let next = self.owners[o as usize].next_wait;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// The page slot `owner`'s outstanding request waits on.
+    fn waiting_slot(&self, owner: OwnerId) -> Option<usize> {
+        self.st(owner).waiting.map(|p| self.page_slot(p))
+    }
+
+    // ------------------------------------------------------------------
+    // Wait lists (threaded through `OwnerState::next_wait`)
+    // ------------------------------------------------------------------
+
+    fn enqueue_back(&mut self, pi: usize, o: u32) {
+        self.owners[o as usize].next_wait = NIL;
+        let tail = self.pages[pi].tail;
+        if tail == NIL {
+            self.pages[pi].head = o;
+        } else {
+            self.owners[tail as usize].next_wait = o;
+        }
+        self.pages[pi].tail = o;
+    }
+
+    fn enqueue_front(&mut self, pi: usize, o: u32) {
+        let entry = &mut self.pages[pi];
+        self.owners[o as usize].next_wait = entry.head;
+        entry.head = o;
+        if entry.tail == NIL {
+            entry.tail = o;
+        }
+    }
+
+    /// Unlink `o` from page slot `pi`'s wait list.
+    fn unlink(&mut self, pi: usize, o: u32) {
+        let next = std::mem::replace(&mut self.owners[o as usize].next_wait, NIL);
+        let mut prev = NIL;
+        let mut cur = self.pages[pi].head;
+        while cur != o {
+            debug_assert_ne!(cur, NIL, "owner not in its page's wait list");
+            prev = cur;
+            cur = self.owners[cur as usize].next_wait;
+        }
+        if prev == NIL {
+            self.pages[pi].head = next;
+        } else {
+            self.owners[prev as usize].next_wait = next;
+        }
+        if self.pages[pi].tail == o {
+            self.pages[pi].tail = prev;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -384,78 +587,52 @@ impl LockManager {
     fn request_fresh(&mut self, owner: OwnerId, page: PageId, mode: LockMode) -> RequestOutcome {
         let pi = self.ensure_page(page);
         // Fairness: never bypass a non-empty queue.
-        if self.pages[pi].queue.is_empty() {
-            let mut lenders = Vec::new();
-            let mut hard = false;
-            for &(h, hmode) in &self.pages[pi].holders {
-                debug_assert_ne!(h, owner.0);
-                if hmode.compatible(mode) {
-                    continue;
-                }
-                if self.opt_lending && self.prepared_slot(h) {
-                    lenders.push(h);
-                } else {
-                    hard = true;
-                    break;
-                }
-            }
-            if !hard {
-                self.pages[pi].holders.push((owner.0, mode));
-                self.held_insert(owner, page, mode);
-                self.note_borrows(owner.0, &lenders);
-                return RequestOutcome::Granted {
-                    borrowed_from: lenders.into_iter().map(OwnerId).collect(),
-                };
-            }
+        let entry = &self.pages[pi];
+        if entry.head == NIL
+            && !entry
+                .holders()
+                .any(|h| self.hard_conflict(h, owner.0, mode))
+        {
+            self.pages[pi].add_holder(Holder {
+                owner: owner.0,
+                mode,
+            });
+            self.held_insert(owner, page, mode);
+            let lenders = self.note_borrows(owner.0, pi, mode);
+            return RequestOutcome::Granted { lenders };
         }
-        self.pages[pi].queue.push_back(WaitReq {
-            owner: owner.0,
-            mode,
-            upgrade: false,
-        });
-        self.st_mut(owner).waiting = Some(page);
-        self.waiting_owners += 1;
+        self.enqueue_back(pi, owner.0);
+        self.set_waiting(owner, page, mode, false);
         RequestOutcome::Blocked
     }
 
     fn request_upgrade(&mut self, owner: OwnerId, page: PageId) -> RequestOutcome {
         let pi = self.page_slot(page);
-        let mut lenders = Vec::new();
-        let mut hard = false;
-        for &(h, _) in &self.pages[pi].holders {
-            if h == owner.0 {
-                continue;
-            }
-            // Any other holder conflicts with an upgrade to Update.
-            if self.opt_lending && self.prepared_slot(h) {
-                lenders.push(h);
-            } else {
-                hard = true;
-            }
-        }
-        if !hard {
-            for h in self.pages[pi].holders.iter_mut() {
-                if h.0 == owner.0 {
-                    h.1 = LockMode::Update;
-                }
-            }
-            self.held_insert(owner, page, LockMode::Update);
-            self.note_borrows(owner.0, &lenders);
-            return RequestOutcome::Granted {
-                borrowed_from: lenders.into_iter().map(OwnerId).collect(),
-            };
+        let mode = LockMode::Update;
+        // Any other holder conflicts with an upgrade to Update.
+        if !self.pages[pi]
+            .holders()
+            .any(|h| self.hard_conflict(h, owner.0, mode))
+        {
+            self.pages[pi].promote(owner.0);
+            self.held_insert(owner, page, mode);
+            let lenders = self.note_borrows(owner.0, pi, mode);
+            return RequestOutcome::Granted { lenders };
         }
         // Upgrades wait at the *front* of the queue (they hold a read
         // lock already; anything granted ahead of them could only
         // deadlock against that read lock).
-        self.pages[pi].queue.push_front(WaitReq {
-            owner: owner.0,
-            mode: LockMode::Update,
-            upgrade: true,
-        });
-        self.st_mut(owner).waiting = Some(page);
-        self.waiting_owners += 1;
+        self.enqueue_front(pi, owner.0);
+        self.set_waiting(owner, page, mode, true);
         RequestOutcome::Blocked
+    }
+
+    fn set_waiting(&mut self, owner: OwnerId, page: PageId, mode: LockMode, upgrade: bool) {
+        let st = self.st_mut(owner);
+        st.waiting = Some(page);
+        st.wait_mode = mode;
+        st.upgrade = upgrade;
+        self.waiting_owners += 1;
     }
 
     fn held_insert(&mut self, owner: OwnerId, page: PageId, mode: LockMode) {
@@ -466,28 +643,34 @@ impl LockManager {
         }
     }
 
-    fn note_borrows(&mut self, borrower: u32, lenders: &[u32]) {
-        if lenders.is_empty() {
-            return;
+    /// `borrower` was just granted page slot `pi` in `mode`: record a
+    /// borrow edge to every conflicting holder (all prepared lenders,
+    /// or the grant could not have happened) and return their count.
+    fn note_borrows(&mut self, borrower: u32, pi: usize, mode: LockMode) -> u32 {
+        if !self.opt_lending {
+            return 0; // nothing is lendable, so nothing conflicting was held
         }
-        self.borrow_grants += 1;
-        for &l in lenders {
-            debug_assert!(self.prepared_slot(l));
-            let lends = &mut self.owners[l as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .lends;
+        let mut lenders = 0;
+        for i in 0..2 + self.pages[pi].spilled().len() {
+            let h = self.pages[pi].holder_at(i);
+            if h.owner == NIL || h.owner == borrower || h.mode.compatible(mode) {
+                continue;
+            }
+            debug_assert!(self.prepared_slot(h.owner));
+            lenders += 1;
+            let lends = &mut self.owners[h.owner as usize].lends;
             if !lends.contains(&borrower) {
                 lends.push(borrower);
             }
-            let borrows = &mut self.owners[borrower as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .borrows;
-            if !borrows.contains(&l) {
-                borrows.push(l);
+            let borrows = &mut self.owners[borrower as usize].borrows;
+            if !borrows.contains(&h.owner) {
+                borrows.push(h.owner);
             }
         }
+        if lenders > 0 {
+            self.borrow_grants += 1;
+        }
+        lenders
     }
 
     /// Live blocker set for a waiting owner: conflicting (non-lendable)
@@ -496,31 +679,11 @@ impl LockManager {
     /// at deadlock-check time, so it is always computed from live state
     /// (no stale edges).
     pub fn compute_blockers(&self, owner: OwnerId, page: PageId) -> Vec<OwnerId> {
-        let Some(entry) = self.page_ro(page) else {
+        if self.waiting_slot(owner) != Some(self.page_slot(page)) {
             return Vec::new();
-        };
-        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
-            return Vec::new();
-        };
-        let mode = entry.queue[pos].mode;
+        }
         let mut blockers: Vec<u32> = Vec::new();
-        for &(h, hmode) in &entry.holders {
-            if h == owner.0 {
-                continue; // own read lock during an upgrade wait
-            }
-            if hmode.compatible(mode) {
-                continue;
-            }
-            if self.opt_lending && self.prepared_slot(h) {
-                continue; // lendable: would not block once queue clears
-            }
-            blockers.push(h);
-        }
-        for w in entry.queue.iter().take(pos) {
-            if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
-                blockers.push(w.owner);
-            }
-        }
+        self.for_each_blocker(owner, |b| blockers.push(b.0));
         // Seqs are unique among live owners, so sorting by seq also
         // groups duplicate slots adjacently for dedup.
         blockers.sort_unstable_by_key(|&s| self.seq_of(s));
@@ -541,28 +704,18 @@ impl LockManager {
     /// unspecified and an owner may be visited twice — suitable only
     /// for order-independent uses such as reachability pre-filters.
     pub fn for_each_blocker(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
-        let Some(page) = self.st(owner).waiting else {
+        let Some(pi) = self.waiting_slot(owner) else {
             return;
         };
-        let Some(entry) = self.page_ro(page) else {
-            return;
-        };
-        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
-            return;
-        };
-        let mode = entry.queue[pos].mode;
-        for &(h, hmode) in &entry.holders {
-            if h == owner.0 || hmode.compatible(mode) {
-                continue;
+        let mode = self.st(owner).wait_mode;
+        for h in self.pages[pi].holders() {
+            if self.hard_conflict(h, owner.0, mode) {
+                f(OwnerId(h.owner));
             }
-            if self.opt_lending && self.prepared_slot(h) {
-                continue;
-            }
-            f(OwnerId(h));
         }
-        for w in entry.queue.iter().take(pos) {
-            if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
-                f(OwnerId(w.owner));
+        for w in self.queue(pi).take_while(|&w| w != owner.0) {
+            if !self.owners[w as usize].wait_mode.compatible(mode) {
+                f(OwnerId(w));
             }
         }
     }
@@ -581,29 +734,20 @@ impl LockManager {
         let st = self.st(owner);
         if !(self.opt_lending && st.prepared) {
             for &(page, hmode) in &st.held {
-                let Some(entry) = self.page_ro(page) else {
-                    continue;
-                };
-                for w in &entry.queue {
-                    if w.owner != owner.0 && !hmode.compatible(w.mode) {
-                        f(OwnerId(w.owner));
+                for w in self.queue(self.page_slot(page)) {
+                    if w != owner.0 && !hmode.compatible(self.owners[w as usize].wait_mode) {
+                        f(OwnerId(w));
                     }
                 }
             }
         }
-        let Some(page) = st.waiting else {
+        if st.waiting.is_none() {
             return;
-        };
-        let Some(entry) = self.page_ro(page) else {
-            return;
-        };
-        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
-            return;
-        };
-        let mode = entry.queue[pos].mode;
-        for w in entry.queue.iter().skip(pos + 1) {
-            if !mode.compatible(w.mode) || !w.mode.compatible(mode) {
-                f(OwnerId(w.owner));
+        }
+        let mode = st.wait_mode;
+        for w in self.wait_chain(st.next_wait) {
+            if !mode.compatible(self.owners[w as usize].wait_mode) {
+                f(OwnerId(w));
             }
         }
     }
@@ -614,41 +758,38 @@ impl LockManager {
 
     /// Mark `owner` prepared. With lending enabled this may unblock
     /// waiters on every page it holds; the resulting grants are
-    /// returned, in ascending page order (`held` is kept sorted, so no
-    /// sort happens here).
-    pub fn mark_prepared(&mut self, owner: OwnerId) -> Vec<Grant> {
+    /// appended to `grants` in ascending page order (`held` is kept
+    /// sorted, so no sort happens here).
+    pub fn mark_prepared(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         {
             let st = self.st_mut(owner);
             debug_assert!(!st.prepared, "owner seq {} prepared twice", st.seq);
             st.prepared = true;
         }
         if !self.opt_lending {
-            return Vec::new();
+            return;
         }
         // Index walk, no page snapshot: draining a held page can only
         // re-grant *this* owner an upgrade it already queued there,
         // which rewrites the held entry's mode in place — the list's
         // length and order never change under the cursor.
-        let mut grants = Vec::new();
         let mut i = 0;
         while let Some(&(p, _)) = self.st(owner).held.get(i) {
-            self.drain_queue(p, &mut grants);
+            self.drain_queue(p, grants);
             i += 1;
         }
-        grants
     }
 
     /// Release `owner`'s read locks (the paper: on PREPARE receipt "the
     /// cohort releases all its read locks but retains its update
-    /// locks"). Returns grants unblocked by the release, in ascending
-    /// page order.
-    pub fn release_read_locks(&mut self, owner: OwnerId) -> Vec<Grant> {
+    /// locks"). Appends the grants the release unblocks to `grants`,
+    /// in ascending page order.
+    pub fn release_read_locks(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         // Walk the held list by index instead of snapshotting the read
         // pages: this path runs once per cohort prepare. Releasing the
         // read lock under the owner's own queued upgrade re-grants it as
         // `Update` at the same (sorted) position, which the cursor then
         // skips — exactly the snapshot semantics, without the Vec.
-        let mut grants = Vec::new();
         let mut i = 0;
         while let Some(&(p, m)) = self.st(owner).held.get(i) {
             if m != LockMode::Read {
@@ -656,131 +797,105 @@ impl LockManager {
                 continue;
             }
             self.st_mut(owner).held.remove(i);
-            self.remove_holder_entry_only(owner, p);
-            self.drain_queue(p, &mut grants);
+            let pi = self.page_slot(p);
+            self.pages[pi].remove_holder(owner.0);
+            self.drain_queue(p, grants);
         }
-        grants
     }
 
     /// Release every lock `owner` holds and cancel its waiting request,
-    /// if any. Clears prepared status. Returns grants unblocked by the
-    /// release, held pages in ascending order.
+    /// if any. Clears prepared status. Appends the grants the release
+    /// unblocks to `grants`, held pages in ascending order.
     ///
     /// Borrow edges are *not* touched — call [`LockManager::settle_borrows`]
     /// (for a decided lender) and/or [`LockManager::drop_borrower`] (for
     /// an aborting borrower) first.
-    pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
-        let mut grants = Vec::new();
+    pub fn release_all_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         if let Some(page) = self.st_mut(owner).waiting.take() {
             self.waiting_owners -= 1;
-            let pi = self.page_slot(page);
-            if let Some(entry) = self.pages.get_mut(pi) {
-                entry.queue.retain(|w| w.owner != owner.0);
-            }
+            self.unlink(self.page_slot(page), owner.0);
             // Removing a queued conflicting request can unblock those behind it.
-            self.drain_queue(page, &mut grants);
+            self.drain_queue(page, grants);
         }
-        let held = std::mem::take(&mut self.st_mut(owner).held);
-        for &(p, _) in &held {
-            self.remove_holder_entry_only(owner, p);
-            self.drain_queue(p, &mut grants);
+        // Draining a released page grants other owners only (this one
+        // no longer waits), so the held list is stable under the cursor.
+        let mut i = 0;
+        while let Some(&(p, _)) = self.st(owner).held.get(i) {
+            let pi = self.page_slot(p);
+            self.pages[pi].remove_holder(owner.0);
+            self.drain_queue(p, grants);
+            i += 1;
         }
-        self.st_mut(owner).prepared = false;
+        let st = self.st_mut(owner);
+        st.held.clear();
+        st.prepared = false;
+    }
+
+    /// [`Self::release_all_into`] into a fresh `Vec`.
+    pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.release_all_into(owner, &mut grants);
         grants
     }
 
     /// A lender's global decision arrived: dissolve its borrow edges and
-    /// return its (former) borrowers, sorted by registration sequence.
-    /// On commit the engine re-checks each borrower's shelf condition;
-    /// on abort it aborts them all — the abort chain of OPT, bounded at
-    /// length one.
-    pub fn settle_borrows(&mut self, lender: OwnerId) -> Vec<OwnerId> {
-        let mut borrowers: Vec<u32> = std::mem::take(&mut self.st_mut(lender).lends);
-        borrowers.sort_unstable_by_key(|&b| self.seq_of(b)); // deterministic processing order
-        for &b in &borrowers {
-            self.owners[b as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .borrows
-                .retain(|&l| l != lender.0);
+    /// append its (former) borrowers to `out`, sorted by registration
+    /// sequence. On commit the engine re-checks each borrower's shelf
+    /// condition; on abort it aborts them all — the abort chain of OPT,
+    /// bounded at length one.
+    pub fn settle_borrows(&mut self, lender: OwnerId, out: &mut Vec<OwnerId>) {
+        let start = out.len();
+        out.extend(self.st(lender).lends.iter().map(|&b| OwnerId(b)));
+        // Deterministic processing order.
+        out[start..].sort_unstable_by_key(|&b| self.seq_of(b.0));
+        for &b in &out[start..] {
+            self.owners[b.index()].borrows.retain(|&l| l != lender.0);
         }
-        borrowers.into_iter().map(OwnerId).collect()
+        self.st_mut(lender).lends.clear();
     }
 
     /// A borrower is going away (abort or full release): drop its
     /// borrow edges from both directions.
     pub fn drop_borrower(&mut self, borrower: OwnerId) {
-        let lenders = std::mem::take(&mut self.st_mut(borrower).borrows);
-        for l in lenders {
-            self.owners[l as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .lends
-                .retain(|&b| b != borrower.0);
+        let mut i = 0;
+        while let Some(&l) = self.st(borrower).borrows.get(i) {
+            self.owners[l as usize].lends.retain(|&b| b != borrower.0);
+            i += 1;
         }
-    }
-
-    fn remove_holder_entry_only(&mut self, owner: OwnerId, page: PageId) {
-        let pi = self.page_slot(page);
-        if let Some(entry) = self.pages.get_mut(pi) {
-            entry.holders.retain(|&(h, _)| h != owner.0);
-        }
+        self.st_mut(borrower).borrows.clear();
     }
 
     /// Greedily grant from the head of `page`'s queue.
     fn drain_queue(&mut self, page: PageId, grants: &mut Vec<Grant>) {
         let pi = self.page_slot(page);
         loop {
-            let Some(entry) = self.pages.get(pi) else {
+            let head = self.pages[pi].head;
+            if head == NIL {
                 return;
+            }
+            let (mode, upgrade) = {
+                let st = &self.owners[head as usize];
+                (st.wait_mode, st.upgrade)
             };
-            let Some(head) = entry.queue.front() else {
-                return;
-            };
-            let owner = head.owner;
-            let mode = head.mode;
-            let upgrade = head.upgrade;
-            let mut lenders: Vec<u32> = Vec::new();
-            let mut grantable = true;
-            for &(h, hmode) in &entry.holders {
-                if h == owner {
-                    debug_assert!(upgrade);
-                    continue;
-                }
-                if hmode.compatible(mode) {
-                    continue;
-                }
-                if self.opt_lending && self.prepared_slot(h) {
-                    lenders.push(h);
-                } else {
-                    grantable = false;
-                    break;
-                }
-            }
-            if !grantable {
+            if self.pages[pi]
+                .holders()
+                .any(|h| self.hard_conflict(h, head, mode))
+            {
                 return;
             }
-            let entry = &mut self.pages[pi];
-            entry.queue.pop_front();
-            if upgrade {
-                // Promote the read lock in place; if the owner released
-                // its read locks while the upgrade was queued (legal for
-                // a caller, even if the engine never does it), the
-                // upgrade degenerates into a fresh grant.
-                let mut promoted = false;
-                for h in entry.holders.iter_mut() {
-                    if h.0 == owner {
-                        h.1 = LockMode::Update;
-                        promoted = true;
-                    }
-                }
-                if !promoted {
-                    entry.holders.push((owner, mode));
-                }
-            } else {
-                entry.holders.push((owner, mode));
+            debug_assert!(
+                upgrade || self.pages[pi].holders().all(|h| h.owner != head),
+                "a fresh waiter already holds the page"
+            );
+            self.unlink(pi, head);
+            // Promote the read lock in place; if the owner released its
+            // read locks while the upgrade was queued (legal for a
+            // caller, even if the engine never does it), the upgrade
+            // degenerates into a fresh grant.
+            if !(upgrade && self.pages[pi].promote(head)) {
+                self.pages[pi].add_holder(Holder { owner: head, mode });
             }
-            let oid = OwnerId(owner);
+            let oid = OwnerId(head);
             self.held_insert(oid, page, mode);
             {
                 let st = self.st_mut(oid);
@@ -788,12 +903,12 @@ impl LockManager {
                 st.waiting = None;
             }
             self.waiting_owners -= 1;
-            self.note_borrows(owner, &lenders);
+            let lenders = self.note_borrows(head, pi, mode);
             grants.push(Grant {
                 owner: oid,
                 page,
                 mode,
-                borrowed_from: lenders.into_iter().map(OwnerId).collect(),
+                lenders,
             });
         }
     }
@@ -809,67 +924,104 @@ impl LockManager {
     ///    prepared and lending is enabled.
     /// 2. A non-empty queue's head must not be grantable (no missed
     ///    grants).
-    /// 3. Waiting state matches the queues exactly, including the
-    ///    waiting-owner counter.
+    /// 3. Waiting state matches the threaded wait lists exactly: every
+    ///    listed owner waits on that page, every waiting owner is
+    ///    listed, each list's tail is its last owner, and the
+    ///    waiting-owner counter matches.
     /// 4. Each owner's `held` list is sorted and matches the holder
-    ///    entries exactly.
+    ///    slots exactly, in both directions.
     /// 5. Borrow edges are symmetric and reference prepared lenders only.
+    /// 6. Vacant (recycled) owner records are empty and on the free list.
     pub fn audit(&self) -> Result<(), String> {
+        let mut holder_entries = 0usize;
+        let mut queued = 0usize;
         for (pi, entry) in self.pages.iter().enumerate() {
-            for (i, &(a, am)) in entry.holders.iter().enumerate() {
-                for &(b, bm) in entry.holders.iter().skip(i + 1) {
-                    if a == b {
+            holder_entries += entry.holder_count();
+            for (i, a) in entry.holders().enumerate() {
+                let in_held = self.owners.get(a.owner as usize).is_some_and(|s| {
+                    s.live && (s.held.iter()).any(|&(p, m)| self.page_slot(p) == pi && m == a.mode)
+                });
+                if !in_held {
+                    return Err(format!(
+                        "page slot {pi}: holder slot {} {:?} missing from its held list",
+                        a.owner, a.mode
+                    ));
+                }
+                for b in entry.holders().skip(i + 1) {
+                    if a.owner == b.owner {
                         return Err(format!(
                             "page slot {pi}: duplicate holder seq {}",
-                            self.seq_of(a)
+                            self.seq_of(a.owner)
                         ));
                     }
-                    if !am.compatible(bm) || !bm.compatible(am) {
-                        let lendable =
-                            self.opt_lending && (self.prepared_slot(a) || self.prepared_slot(b));
+                    if !a.mode.compatible(b.mode) {
+                        let lendable = self.opt_lending
+                            && (self.prepared_slot(a.owner) || self.prepared_slot(b.owner));
                         if !lendable {
                             return Err(format!(
                                 "page slot {pi}: conflicting holders seq {} and seq {} \
                                  with no prepared lender",
-                                self.seq_of(a),
-                                self.seq_of(b)
+                                self.seq_of(a.owner),
+                                self.seq_of(b.owner)
                             ));
                         }
                     }
                 }
             }
-            if let Some(head) = entry.queue.front() {
-                let blocked = entry.holders.iter().any(|&(h, hm)| {
-                    h != head.owner
-                        && !hm.compatible(head.mode)
-                        && !(self.opt_lending && self.prepared_slot(h))
-                });
-                if !blocked {
-                    return Err(format!(
-                        "page slot {pi}: queue head seq {} is grantable but still waiting",
-                        self.seq_of(head.owner)
-                    ));
-                }
-            }
-            for w in &entry.queue {
-                let ok = self
-                    .owners
-                    .get(w.owner as usize)
-                    .and_then(|o| o.as_ref())
-                    .is_some_and(|s| s.waiting.is_some_and(|p| self.page_slot(p) == pi));
+            let (mut last, mut len) = (NIL, 0usize);
+            let mut cur = entry.head;
+            while cur != NIL {
+                len += 1;
+                let ok = len <= self.owners.len()
+                    && self.owners.get(cur as usize).is_some_and(|s| {
+                        s.live && s.waiting.is_some_and(|p| self.page_slot(p) == pi)
+                    });
                 if !ok {
                     return Err(format!(
-                        "page slot {pi}: queued owner slot {} not in waiting state",
-                        w.owner
+                        "page slot {pi}: queued owner slot {cur} not in waiting state"
+                    ));
+                }
+                (last, cur) = (cur, self.owners[cur as usize].next_wait);
+            }
+            if entry.tail != last {
+                return Err(format!(
+                    "page slot {pi}: wait-list tail {} but last waiter {last}",
+                    entry.tail
+                ));
+            }
+            queued += len;
+            if entry.head != NIL {
+                let head = entry.head;
+                let mode = self.owners[head as usize].wait_mode;
+                if !entry.holders().any(|h| self.hard_conflict(h, head, mode)) {
+                    return Err(format!(
+                        "page slot {pi}: queue head seq {} is grantable but still waiting",
+                        self.seq_of(head)
                     ));
                 }
             }
         }
         let mut waiting_seen = 0usize;
         let mut registered_seen = 0usize;
+        let mut held_entries = 0usize;
         for (slot, st) in self.owners.iter().enumerate() {
-            let Some(st) = st.as_ref() else { continue };
+            if !st.live {
+                let empty = st.held.is_empty()
+                    && st.lends.is_empty()
+                    && st.borrows.is_empty()
+                    && st.waiting.is_none()
+                    && !st.prepared
+                    && st.next_wait == NIL;
+                if !empty {
+                    return Err(format!("vacant owner slot {slot} keeps lock state"));
+                }
+                if !self.free_owners.contains(&(slot as u32)) {
+                    return Err(format!("vacant owner slot {slot} not on the free list"));
+                }
+                continue;
+            }
             registered_seen += 1;
+            held_entries += st.held.len();
             if !st.held.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!(
                     "owner seq {}: held list not sorted by page",
@@ -878,9 +1030,8 @@ impl LockManager {
             }
             for &(page, mode) in &st.held {
                 let ok = self.page_ro(page).is_some_and(|e| {
-                    e.holders
-                        .iter()
-                        .any(|&(h, m)| h as usize == slot && m == mode)
+                    e.holders()
+                        .any(|h| h.owner as usize == slot && h.mode == mode)
                 });
                 if !ok {
                     return Err(format!(
@@ -891,12 +1042,10 @@ impl LockManager {
             }
             if let Some(page) = st.waiting {
                 waiting_seen += 1;
-                let ok = self
-                    .page_ro(page)
-                    .is_some_and(|e| e.queue.iter().any(|w| w.owner as usize == slot));
-                if !ok {
+                let listed = self.queue(self.page_slot(page)).any(|w| w as usize == slot);
+                if !listed {
                     return Err(format!(
-                        "owner seq {} waiting on {page} but no queued request",
+                        "owner seq {} waiting on {page} but not in its wait list",
                         st.seq
                     ));
                 }
@@ -911,8 +1060,7 @@ impl LockManager {
                 let ok = self
                     .owners
                     .get(b as usize)
-                    .and_then(|o| o.as_ref())
-                    .is_some_and(|bs| bs.borrows.contains(&(slot as u32)));
+                    .is_some_and(|bs| bs.live && bs.borrows.contains(&(slot as u32)));
                 if !ok {
                     return Err(format!("asymmetric borrow edge seq {} -> slot {b}", st.seq));
                 }
@@ -921,8 +1069,7 @@ impl LockManager {
                 let ok = self
                     .owners
                     .get(l as usize)
-                    .and_then(|o| o.as_ref())
-                    .is_some_and(|ls| ls.lends.contains(&(slot as u32)));
+                    .is_some_and(|ls| ls.live && ls.lends.contains(&(slot as u32)));
                 if !ok {
                     return Err(format!(
                         "asymmetric borrow edge slot {l} -> seq {} (reverse missing)",
@@ -931,10 +1078,15 @@ impl LockManager {
                 }
             }
         }
-        if waiting_seen != self.waiting_owners {
+        if waiting_seen != self.waiting_owners || queued != self.waiting_owners {
             return Err(format!(
-                "waiting counter {} != actual {waiting_seen}",
+                "waiting counter {} != waiting owners {waiting_seen} / queued {queued}",
                 self.waiting_owners
+            ));
+        }
+        if held_entries != holder_entries {
+            return Err(format!(
+                "{held_entries} held-list entries but {holder_entries} holder slots"
             ));
         }
         if registered_seen != self.registered {
@@ -944,6 +1096,27 @@ impl LockManager {
             ));
         }
         Ok(())
+    }
+}
+/// Vec-returning forms of the buffer-appending calls, for the tests.
+#[cfg(test)]
+impl LockManager {
+    fn prepared_grants(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.mark_prepared(owner, &mut grants);
+        grants
+    }
+
+    fn read_release_grants(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.release_read_locks(owner, &mut grants);
+        grants
+    }
+
+    fn settled(&mut self, lender: OwnerId) -> Vec<OwnerId> {
+        let mut borrowers = Vec::new();
+        self.settle_borrows(lender, &mut borrowers);
+        borrowers
     }
 }
 
@@ -1068,9 +1241,9 @@ mod tests {
             lm.request(o[5], 3, LockMode::Update),
             RequestOutcome::Blocked
         ));
-        lm.release_read_locks(o[5]);
+        lm.read_release_grants(o[5]);
         lm.audit().unwrap();
-        let grants = lm.release_read_locks(o[6]);
+        let grants = lm.read_release_grants(o[6]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[5]);
         assert_eq!(lm.mode_held(o[5], 3), Some(LockMode::Update));
@@ -1083,7 +1256,7 @@ mod tests {
         lm.request(o[1], 1, LockMode::Read);
         lm.request(o[1], 2, LockMode::Update);
         lm.request(o[2], 1, LockMode::Update); // waits on the read lock
-        let grants = lm.release_read_locks(o[1]);
+        let grants = lm.read_release_grants(o[1]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[2]);
         assert_eq!(lm.mode_held(o[1], 1), None);
@@ -1128,14 +1301,10 @@ mod tests {
     fn prepared_update_lock_is_lendable() {
         let (mut lm, o) = setup(true, 2);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         let out = lm.request(o[2], 9, LockMode::Read);
-        assert_eq!(
-            out,
-            RequestOutcome::Granted {
-                borrowed_from: vec![o[1]]
-            }
-        );
+        assert_eq!(out, RequestOutcome::Granted { lenders: 1 });
+        assert_eq!(lm.lenders_of(o[2]).collect::<Vec<_>>(), vec![o[1]]);
         assert!(lm.has_live_borrows(o[2]));
         assert_eq!(lm.borrowers_of(o[1]).collect::<Vec<_>>(), vec![o[2]]);
         assert_eq!(lm.borrow_grants(), 1);
@@ -1146,7 +1315,7 @@ mod tests {
     fn lending_disabled_without_opt() {
         let (mut lm, o) = setup(false, 2);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         let out = lm.request(o[2], 9, LockMode::Read);
         assert!(matches!(out, RequestOutcome::Blocked));
     }
@@ -1157,10 +1326,11 @@ mod tests {
         lm.request(o[1], 9, LockMode::Update);
         let out = lm.request(o[2], 9, LockMode::Update);
         assert!(matches!(out, RequestOutcome::Blocked));
-        let grants = lm.mark_prepared(o[1]);
+        let grants = lm.prepared_grants(o[1]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[2]);
-        assert_eq!(grants[0].borrowed_from, vec![o[1]]);
+        assert_eq!(grants[0].lenders, 1);
+        assert_eq!(lm.lenders_of(o[2]).collect::<Vec<_>>(), vec![o[1]]);
         lm.audit().unwrap();
     }
 
@@ -1168,9 +1338,9 @@ mod tests {
     fn lender_commit_dissolves_edges() {
         let (mut lm, o) = setup(true, 2);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         lm.request(o[2], 9, LockMode::Update);
-        let borrowers = lm.settle_borrows(o[1]);
+        let borrowers = lm.settled(o[1]);
         assert_eq!(borrowers, vec![o[2]]);
         assert!(!lm.has_live_borrows(o[2]));
         lm.release_all(o[1]);
@@ -1181,7 +1351,7 @@ mod tests {
     fn borrower_abort_drops_edges() {
         let (mut lm, o) = setup(true, 2);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         lm.request(o[2], 9, LockMode::Read);
         lm.drop_borrower(o[2]);
         lm.release_all(o[2]);
@@ -1194,11 +1364,11 @@ mod tests {
         let (mut lm, o) = setup(true, 3);
         lm.request(o[1], 9, LockMode::Update);
         lm.request(o[1], 10, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         assert!(granted(&lm.request(o[2], 9, LockMode::Update)));
         assert!(granted(&lm.request(o[3], 10, LockMode::Update)));
         // settle_borrows returns borrowers sorted by seq already
-        assert_eq!(lm.settle_borrows(o[1]), vec![o[2], o[3]]);
+        assert_eq!(lm.settled(o[1]), vec![o[2], o[3]]);
         lm.audit().unwrap();
     }
 
@@ -1207,17 +1377,17 @@ mod tests {
         let (mut lm, o) = setup(true, 3);
         lm.request(o[1], 9, LockMode::Update);
         lm.request(o[2], 10, LockMode::Update);
-        lm.mark_prepared(o[1]);
-        lm.mark_prepared(o[2]);
+        lm.prepared_grants(o[1]);
+        lm.prepared_grants(o[2]);
         assert!(granted(&lm.request(o[3], 9, LockMode::Read)));
         assert!(granted(&lm.request(o[3], 10, LockMode::Read)));
         let mut lenders: Vec<_> = lm.lenders_of(o[3]).collect();
         lenders.sort_unstable_by_key(|&l| lm.owner_seq(l).unwrap());
         assert_eq!(lenders, vec![o[1], o[2]]);
         // first lender decides; the borrow from the second is still live
-        lm.settle_borrows(o[1]);
+        lm.settled(o[1]);
         assert!(lm.has_live_borrows(o[3]));
-        lm.settle_borrows(o[2]);
+        lm.settled(o[2]);
         assert!(!lm.has_live_borrows(o[3]));
     }
 
@@ -1226,9 +1396,9 @@ mod tests {
         let (mut lm, o) = setup(true, 3);
         lm.request(o[1], 9, LockMode::Update);
         lm.request(o[2], 9, LockMode::Update); // queues (1 not prepared yet)
-        lm.mark_prepared(o[1]); // grants 2 by borrowing
-                                // 3 arrives now; queue is empty so it can also borrow? No: 2 now
-                                // *holds* an update lock and is active, so 3 must wait.
+        lm.prepared_grants(o[1]); // grants 2 by borrowing
+                                  // 3 arrives now; queue is empty so it can also borrow? No: 2 now
+                                  // *holds* an update lock and is active, so 3 must wait.
         assert_eq!(
             lm.request(o[3], 9, LockMode::Update),
             RequestOutcome::Blocked
@@ -1245,7 +1415,7 @@ mod tests {
         assert_eq!(lm.blockers_of(o[2]), vec![o[1]]);
         lm.request(o[3], 9, LockMode::Update); // blocked by 1 and queued 2
         assert_eq!(lm.blockers_of(o[3]), vec![o[1], o[2]]);
-        let grants = lm.mark_prepared(o[1]);
+        let grants = lm.prepared_grants(o[1]);
         // 2 borrows; 3 blocked by 2 only (1 is lendable now)
         assert_eq!(grants.len(), 1);
         assert_eq!(lm.blockers_of(o[3]), vec![o[2]]);
@@ -1259,17 +1429,18 @@ mod tests {
         lm.request(o[1], 9, LockMode::Update); // will prepare (lender)
         lm.request(o[2], 9, LockMode::Update); // active waiter
         lm.request(o[3], 9, LockMode::Update); // behind 2
-        let grants = lm.mark_prepared(o[1]);
+        let grants = lm.prepared_grants(o[1]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[2]); // borrows from 1
                                            // 3 still blocked by active borrower 2
         assert_eq!(lm.blockers_of(o[3]), vec![o[2]]);
         lm.drop_borrower(o[2]);
-        lm.settle_borrows(o[2]);
+        lm.settled(o[2]);
         let grants = lm.release_all(o[2]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[3]);
-        assert_eq!(grants[0].borrowed_from, vec![o[1]]); // 1 still prepared
+        assert_eq!(grants[0].lenders, 1); // 1 still prepared
+        assert_eq!(lm.lenders_of(o[3]).collect::<Vec<_>>(), vec![o[1]]);
         lm.audit().unwrap();
     }
 
@@ -1277,12 +1448,12 @@ mod tests {
     fn read_borrowers_share_the_lent_page() {
         let (mut lm, o) = setup(true, 4);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         // several concurrent read borrowers are mutually compatible
         assert!(granted(&lm.request(o[2], 9, LockMode::Read)));
         assert!(granted(&lm.request(o[3], 9, LockMode::Read)));
         assert!(granted(&lm.request(o[4], 9, LockMode::Read)));
-        assert_eq!(lm.settle_borrows(o[1]), vec![o[2], o[3], o[4]]);
+        assert_eq!(lm.settled(o[1]), vec![o[2], o[3], o[4]]);
         lm.audit().unwrap();
     }
 
@@ -1290,7 +1461,7 @@ mod tests {
     fn update_borrower_blocks_later_readers() {
         let (mut lm, o) = setup(true, 3);
         lm.request(o[1], 9, LockMode::Update);
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         assert!(granted(&lm.request(o[2], 9, LockMode::Update))); // borrows
                                                                   // a later reader conflicts with the *active* borrower
         assert!(matches!(
@@ -1305,14 +1476,14 @@ mod tests {
         let (mut lm, o) = setup(true, 3);
         lm.request(o[1], 9, LockMode::Update);
         lm.request(o[2], 10, LockMode::Update);
-        lm.mark_prepared(o[1]);
-        lm.mark_prepared(o[2]);
+        lm.prepared_grants(o[1]);
+        lm.prepared_grants(o[2]);
         lm.request(o[3], 9, LockMode::Read); // borrows from 1
         lm.request(o[3], 10, LockMode::Read); // borrows from 2
-        assert_eq!(lm.settle_borrows(o[1]), vec![o[3]]);
-        assert!(lm.settle_borrows(o[1]).is_empty(), "second settle is empty");
+        assert_eq!(lm.settled(o[1]), vec![o[3]]);
+        assert!(lm.settled(o[1]).is_empty(), "second settle is empty");
         assert!(lm.has_live_borrows(o[3]), "edge to lender 2 must survive");
-        assert_eq!(lm.settle_borrows(o[2]), vec![o[3]]);
+        assert_eq!(lm.settled(o[2]), vec![o[3]]);
         assert!(!lm.has_live_borrows(o[3]));
     }
 
@@ -1320,9 +1491,9 @@ mod tests {
     fn release_on_lockless_owner_is_a_noop() {
         let (mut lm, o) = setup(false, 1);
         assert!(lm.release_all(o[1]).is_empty());
-        assert!(lm.release_read_locks(o[1]).is_empty());
+        assert!(lm.read_release_grants(o[1]).is_empty());
         lm.drop_borrower(o[1]);
-        assert!(lm.settle_borrows(o[1]).is_empty());
+        assert!(lm.settled(o[1]).is_empty());
         lm.audit().unwrap();
     }
 
@@ -1350,7 +1521,7 @@ mod tests {
         assert_eq!(lm.mode_held(o[1], 11), None);
         assert_eq!(lm.pages_held(o[2]), 0);
         assert!(!lm.is_prepared(o[1]));
-        lm.mark_prepared(o[1]);
+        lm.prepared_grants(o[1]);
         assert!(lm.is_prepared(o[1]));
     }
 
@@ -1359,8 +1530,8 @@ mod tests {
         let (mut lm, o) = setup(true, 4);
         lm.request(o[1], 9, LockMode::Read);
         lm.request(o[2], 9, LockMode::Read);
-        lm.mark_prepared(o[1]);
-        lm.mark_prepared(o[2]);
+        lm.prepared_grants(o[1]);
+        lm.prepared_grants(o[2]);
         // reads are compatible with the prepared read-holders: no borrow
         assert!(granted(&lm.request(o[3], 9, LockMode::Read)));
         assert_eq!(lm.borrow_grants(), 0);
@@ -1380,7 +1551,10 @@ mod tests {
         lm.request(o[1], 9, LockMode::Update);
         // Corrupt the table directly to prove audit sees it.
         let pi = lm.page_slot(9);
-        lm.pages[pi].holders.push((o[2].0, LockMode::Update));
+        lm.pages[pi].add_holder(Holder {
+            owner: o[2].0,
+            mode: LockMode::Update,
+        });
         assert!(lm.audit().is_err());
     }
 
@@ -1435,7 +1609,7 @@ mod tests {
             lm.request(o[2], 9, LockMode::Update);
             lm.request(o[3], 5, LockMode::Update);
             lm.request(o[4], 3, LockMode::Update);
-            let grants = lm.mark_prepared(o[1]);
+            let grants = lm.prepared_grants(o[1]);
             assert_eq!(
                 grants.iter().map(|g| g.page).collect::<Vec<_>>(),
                 vec![3, 5, 9]
@@ -1564,12 +1738,12 @@ mod generative_tests {
                     Op::ReleaseAll { owner } => {
                         let owner = o[owner as usize];
                         lm.drop_borrower(owner);
-                        lm.settle_borrows(owner);
+                        lm.settled(owner);
                         lm.release_all(owner);
                         prepared.remove(&owner);
                     }
                     Op::ReleaseReads { owner } => {
-                        lm.release_read_locks(o[owner as usize]);
+                        lm.read_release_grants(o[owner as usize]);
                     }
                     Op::Prepare { owner } => {
                         let owner = o[owner as usize];
@@ -1579,14 +1753,14 @@ mod generative_tests {
                             && lm.pages_held(owner) > 0
                             && !lm.has_live_borrows(owner)
                         {
-                            lm.mark_prepared(owner);
+                            lm.prepared_grants(owner);
                             prepared.insert(owner);
                         }
                     }
                     Op::Settle { owner } => {
                         let owner = o[owner as usize];
                         if prepared.contains(&owner) {
-                            lm.settle_borrows(owner);
+                            lm.settled(owner);
                             lm.release_all(owner);
                             prepared.remove(&owner);
                         }
@@ -1637,14 +1811,14 @@ mod generative_tests {
                         // fresh one, which takes over the freed slot.
                         let i = owner as usize;
                         lm.drop_borrower(o[i]);
-                        lm.settle_borrows(o[i]);
+                        lm.settled(o[i]);
                         lm.release_all(o[i]);
                         lm.unregister(o[i]);
                         o[i] = lm.register_owner(next_seq);
                         next_seq += 1;
                     }
                     Op::ReleaseReads { owner } => {
-                        lm.release_read_locks(o[owner as usize]);
+                        lm.read_release_grants(o[owner as usize]);
                     }
                     Op::Prepare { owner } => {
                         let owner = o[owner as usize];
@@ -1653,13 +1827,13 @@ mod generative_tests {
                             && lm.pages_held(owner) > 0
                             && !lm.has_live_borrows(owner)
                         {
-                            lm.mark_prepared(owner);
+                            lm.prepared_grants(owner);
                         }
                     }
                     Op::Settle { owner } => {
                         let owner = o[owner as usize];
                         if lm.is_prepared(owner) {
-                            lm.settle_borrows(owner);
+                            lm.settled(owner);
                             lm.release_all(owner);
                         }
                     }
@@ -1681,14 +1855,14 @@ mod generative_tests {
                 assert_eq!(forward, backward, "lending={lending}");
                 edges += forward.len();
                 for entry in &lm.pages {
-                    let Some(head) = entry.queue.front() else {
+                    let head = entry.head;
+                    if head == NIL {
                         continue;
-                    };
-                    front_upgrades += head.upgrade as usize;
+                    }
+                    front_upgrades += lm.owners[head as usize].upgrade as usize;
                     let lender = entry
-                        .holders
-                        .iter()
-                        .any(|&(h, _)| h != head.owner && lm.prepared_slot(h));
+                        .holders()
+                        .any(|h| h.owner != head && lm.prepared_slot(h.owner));
                     lender_states += (lending && lender) as usize;
                 }
             }
@@ -1733,5 +1907,237 @@ mod generative_tests {
                 assert!(lm.audit().is_ok());
             }
         }
+    }
+}
+
+// The live table against the `Vec`/`VecDeque` reference it replaced,
+// over random op sequences: every outcome, grant list, blocker set,
+// waiter set and borrow edge must agree.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use crate::reference;
+    use simkernel::SimRng;
+    use std::collections::BTreeSet;
+
+    const OWNERS: usize = 8;
+    const PAGES: u64 = 6;
+
+    struct Pair {
+        new: LockManager,
+        old: reference::LockManager,
+        owners: Vec<OwnerId>,
+        next_seq: u64,
+        /// Page id of abstract page `k` (identity, or residues of a
+        /// small modulus).
+        page_of: fn(u64) -> PageId,
+    }
+
+    fn grant_keys(grants: &[Grant]) -> Vec<(OwnerId, PageId, LockMode, u32)> {
+        grants
+            .iter()
+            .map(|g| (g.owner, g.page, g.mode, g.lenders))
+            .collect()
+    }
+
+    fn ref_grant_keys(grants: &[reference::Grant]) -> Vec<(OwnerId, PageId, LockMode, u32)> {
+        grants
+            .iter()
+            .map(|g| (g.owner, g.page, g.mode, g.borrowed_from.len() as u32))
+            .collect()
+    }
+
+    fn ref_outcome(o: reference::RequestOutcome) -> RequestOutcome {
+        match o {
+            reference::RequestOutcome::Granted { borrowed_from } => RequestOutcome::Granted {
+                lenders: borrowed_from.len() as u32,
+            },
+            reference::RequestOutcome::AlreadyHeld => RequestOutcome::AlreadyHeld,
+            reference::RequestOutcome::Blocked => RequestOutcome::Blocked,
+        }
+    }
+
+    impl Pair {
+        fn new(lending: bool, modulus: bool) -> Self {
+            let (mut new, mut old, page_of): (_, _, fn(u64) -> PageId) = if modulus {
+                (
+                    LockManager::for_pages(lending, PAGES),
+                    reference::LockManager::for_pages(lending, PAGES),
+                    |k| 7 * k + 1,
+                )
+            } else {
+                (
+                    LockManager::new(lending),
+                    reference::LockManager::new(lending),
+                    |k| k,
+                )
+            };
+            let owners = (0..OWNERS as u64)
+                .map(|s| {
+                    let o = new.register_owner(s);
+                    assert_eq!(old.register_owner(s), o);
+                    o
+                })
+                .collect();
+            Pair {
+                new,
+                old,
+                owners,
+                next_seq: OWNERS as u64,
+                page_of,
+            }
+        }
+
+        fn release_all(&mut self, o: OwnerId) {
+            let mut grants = Vec::new();
+            self.new.release_all_into(o, &mut grants);
+            assert_eq!(
+                grant_keys(&grants),
+                ref_grant_keys(&self.old.release_all(o))
+            );
+        }
+
+        fn settle(&mut self, o: OwnerId) {
+            let mut borrowers = Vec::new();
+            self.new.settle_borrows(o, &mut borrowers);
+            assert_eq!(borrowers, self.old.settle_borrows(o));
+        }
+
+        fn step(&mut self, r: &mut SimRng) {
+            let i = r.uniform_usize(0, OWNERS - 1);
+            let o = self.owners[i];
+            match r.uniform_u64(0, 6) {
+                0 | 1 => {
+                    if self.new.is_waiting(o) || self.new.is_prepared(o) {
+                        return;
+                    }
+                    let page = (self.page_of)(r.uniform_u64(0, PAGES - 1));
+                    let mode = if r.chance(0.5) {
+                        LockMode::Update
+                    } else {
+                        LockMode::Read
+                    };
+                    let got = self.new.request(o, page, mode);
+                    assert_eq!(got, ref_outcome(self.old.request(o, page, mode)));
+                }
+                2 => {
+                    let mut grants = Vec::new();
+                    self.new.release_read_locks(o, &mut grants);
+                    let want = self.old.release_read_locks(o);
+                    assert_eq!(grant_keys(&grants), ref_grant_keys(&want));
+                }
+                3 => {
+                    let n = &self.new;
+                    if n.is_waiting(o)
+                        || n.is_prepared(o)
+                        || n.pages_held(o) == 0
+                        || n.has_live_borrows(o)
+                    {
+                        return;
+                    }
+                    let mut grants = Vec::new();
+                    self.new.mark_prepared(o, &mut grants);
+                    let want = self.old.mark_prepared(o);
+                    assert_eq!(grant_keys(&grants), ref_grant_keys(&want));
+                }
+                4 => {
+                    // A lender decides: settle its edges, then release.
+                    if self.new.is_prepared(o) {
+                        self.settle(o);
+                        self.release_all(o);
+                    }
+                }
+                5 => {
+                    // An aborting (never prepared) borrower: drop its
+                    // edges, then release.
+                    if self.new.is_prepared(o) {
+                        return;
+                    }
+                    self.new.drop_borrower(o);
+                    self.old.drop_borrower(o);
+                    self.release_all(o);
+                }
+                _ => {
+                    // Churn: full teardown, unregister, and a fresh
+                    // owner in the recycled slot.
+                    self.new.drop_borrower(o);
+                    self.old.drop_borrower(o);
+                    self.settle(o);
+                    self.release_all(o);
+                    self.new.unregister(o);
+                    self.old.unregister(o);
+                    let fresh = self.new.register_owner(self.next_seq);
+                    assert_eq!(self.old.register_owner(self.next_seq), fresh);
+                    self.owners[i] = fresh;
+                    self.next_seq += 1;
+                }
+            }
+        }
+
+        /// Lenders of `o`, ordered by seq (edge order is unspecified).
+        fn sorted(&self, it: impl Iterator<Item = OwnerId>) -> Vec<OwnerId> {
+            let mut v: Vec<OwnerId> = it.collect();
+            v.sort_unstable_by_key(|&l| self.new.owner_seq(l));
+            v
+        }
+
+        fn compare(&self) {
+            let (n, o) = (&self.new, &self.old);
+            if let Err(e) = n.audit() {
+                panic!("audit: {e}");
+            }
+            assert_eq!(n.waiting_count(), o.waiting_count());
+            assert_eq!(n.registered_count(), o.registered_count());
+            assert_eq!(n.borrow_grants(), o.borrow_grants());
+            for &w in &self.owners {
+                assert_eq!(n.owner_seq(w), o.owner_seq(w));
+                assert_eq!(n.is_waiting(w), o.is_waiting(w));
+                assert_eq!(n.is_prepared(w), o.is_prepared(w));
+                assert_eq!(n.pages_held(w), o.pages_held(w));
+                for k in 0..PAGES {
+                    let page = (self.page_of)(k);
+                    assert_eq!(n.mode_held(w, page), o.mode_held(w, page));
+                }
+                assert_eq!(n.blockers_of(w), o.blockers_of(w));
+                let (mut a, mut b) = (BTreeSet::new(), BTreeSet::new());
+                n.for_each_waiter(w, |x| {
+                    a.insert(x.0);
+                });
+                o.for_each_waiter(w, |x| {
+                    b.insert(x.0);
+                });
+                assert_eq!(a, b);
+                assert_eq!(self.sorted(n.lenders_of(w)), self.sorted(o.lenders_of(w)));
+                assert_eq!(
+                    self.sorted(n.borrowers_of(w)),
+                    self.sorted(o.borrowers_of(w))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn page_lock_is_compact() {
+        assert!(std::mem::size_of::<PageLock>() <= 32);
+    }
+
+    #[test]
+    fn matches_the_reference_table() {
+        let mut r = SimRng::new(0xD1FF_10C5);
+        let (mut grants, mut blocked, mut spills) = (0u64, 0u64, 0usize);
+        for case in 0..400 {
+            let mut p = Pair::new(case % 2 == 0, case % 4 >= 2);
+            for _ in 0..r.uniform_usize(1, 150) {
+                p.step(&mut r);
+                p.compare();
+            }
+            grants += p.new.borrow_grants();
+            blocked += p.new.waiting_count() as u64;
+            spills += p.new.pages.iter().filter(|e| e.spill.is_some()).count();
+        }
+        // Not vacuous: lending grants, waits and spilled holders occurred.
+        assert!(grants > 100, "{grants}");
+        assert!(blocked > 100, "{blocked}");
+        assert!(spills > 50, "{spills}");
     }
 }

@@ -146,26 +146,36 @@ impl SimRng {
     /// # Panics
     /// Panics if `k > n`.
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.sample_distinct_into(n, k, &mut out);
+        out
+    }
+
+    /// [`Self::sample_distinct`] appending to `out`, with the same
+    /// draws. The partial Fisher–Yates branch uses `out`'s tail as its
+    /// index array, so a reused buffer makes the draw allocation-free.
+    ///
+    /// # Panics
+    /// Panics if `k > n`.
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct values from {n}");
-        // Partial Fisher–Yates over an index vector for small n; for
+        let start = out.len();
+        // Partial Fisher–Yates over an index array for small n; for
         // large n with small k, rejection sampling is cheaper.
         if k * 4 >= n {
-            let mut idx: Vec<usize> = (0..n).collect();
+            out.extend(0..n);
             for i in 0..k {
                 let j = self.uniform_usize(i, n - 1);
-                idx.swap(i, j);
+                out.swap(start + i, start + j);
             }
-            idx.truncate(k);
-            idx
+            out.truncate(start + k);
         } else {
-            let mut chosen = Vec::with_capacity(k);
-            while chosen.len() < k {
+            while out.len() - start < k {
                 let v = self.uniform_usize(0, n - 1);
-                if !chosen.contains(&v) {
-                    chosen.push(v);
+                if !out[start..].contains(&v) {
+                    out.push(v);
                 }
             }
-            chosen
         }
     }
 
@@ -374,6 +384,52 @@ mod tests {
             let set: HashSet<_> = s.iter().copied().collect();
             assert_eq!(set.len(), k);
             assert!(s.iter().all(|&v| v < n));
+        }
+    }
+
+    /// The allocating sampler `sample_distinct_into` replaced.
+    fn sample_distinct_reference(r: &mut SimRng, n: usize, k: usize) -> Vec<usize> {
+        if k * 4 >= n {
+            let mut idx: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = r.uniform_usize(i, n - 1);
+                idx.swap(i, j);
+            }
+            idx.truncate(k);
+            idx
+        } else {
+            let mut chosen = Vec::with_capacity(k);
+            while chosen.len() < k {
+                let v = r.uniform_usize(0, n - 1);
+                if !chosen.contains(&v) {
+                    chosen.push(v);
+                }
+            }
+            chosen
+        }
+    }
+
+    /// Appending after a dirty prefix draws exactly what the reference
+    /// draws and leaves the generator in the same state.
+    #[test]
+    fn sample_distinct_into_matches_the_reference() {
+        let mut meta = SimRng::new(0x5A3B1E);
+        let mut out = Vec::new();
+        for _ in 0..2_000 {
+            let n = meta.uniform_usize(0, 120);
+            let k = n * meta.uniform_usize(0, 100) / 100;
+            let seed = meta.next_u64();
+            let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+            out.clear();
+            out.extend(0..meta.uniform_usize(0, 5));
+            let prefix = out.clone();
+            a.sample_distinct_into(n, k, &mut out);
+            assert_eq!(out[..prefix.len()], prefix[..]);
+            assert_eq!(
+                out[prefix.len()..],
+                sample_distinct_reference(&mut b, n, k)[..]
+            );
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

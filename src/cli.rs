@@ -1499,6 +1499,21 @@ mod tests {
         }
         // validation runs at parse time: dist_degree > sites
         assert!(parse(&argv("run --sites 2 --dist-degree 3")).is_err());
+        // Inputs that used to hang (a Zipf skew whose distinct-page
+        // draw never finishes), panic (a population beyond the event
+        // calendar's slots) or wrap (the commit target) name their flag.
+        for (args, flag) in [
+            ("run --zipf 12", "--zipf"),
+            ("run --zipf 1e308", "--zipf"),
+            ("run --mpl 4000000000", "--mpl"),
+            (
+                "run --warmup 18446744073709551610 --measured 10",
+                "--warmup",
+            ),
+        ] {
+            let e = parse(&argv(args)).unwrap_err();
+            assert!(e.0.contains(flag), "{args}: {e}");
+        }
         assert!(parse(&argv("sweep --protocols , --mpls 1")).is_err());
         // Millisecond inputs that no duration can be are parse errors
         // naming the flag or key, never panics.
