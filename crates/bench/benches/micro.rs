@@ -8,7 +8,7 @@
 
 use distbench::micro::{bench, bench_per_item, bench_with_setup};
 use distdb::config::SystemConfig;
-use distdb::engine::{ChromeWriter, FoldSink, Simulation, TraceSink};
+use distdb::engine::{ChromeWriter, FoldSink, Simulation, Trace, TraceSink};
 use distdb::protocol::ProtocolSpec;
 use distdb::workload::{TxnTemplate, WorkloadGenerator};
 use distlocks::deadlock::{find_cycle, CycleSearch, WaitForGraph};
@@ -237,7 +237,9 @@ fn bench_sinks() {
         .with_failures("mc=0.01,cc=0.005,loss=0.01".parse().expect("valid faults"))
         .with_run_length(0, 2_000);
     cfg.mpl = 4;
-    let (_, trace) = Simulation::run_traced(&cfg, ProtocolSpec::THREE_PC, 42, u64::MAX).unwrap();
+    let (_, trace) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::THREE_PC, 42, u64::MAX, Trace::default())
+            .unwrap();
     let events = trace.events;
     bench_per_item("sink/ChromeWriter::event", events.len() as u64, || {
         let mut w = ChromeWriter::new(std::io::sink()).unwrap();

@@ -17,7 +17,7 @@
 
 use commitproto::ProtocolSpec;
 use distdb::config::SystemConfig;
-use distdb::engine::{EngineProfile, SeriesConfig, Simulation};
+use distdb::engine::{EngineProfile, Profiled, SeriesConfig, SeriesRecorder, Simulation};
 use distdb::output::escape_json;
 use std::time::Instant;
 
@@ -287,41 +287,37 @@ fn grid_pass(opts: &Options, label: String, with_series: bool) -> Result<Entry, 
     })
 }
 
-/// The engine self-profile cell: 2PC at MPL 8 with a series recorder
-/// installed, so the four hot-path sections — calendar, dispatch, lock
-/// scan, series sink — all show up with real weights.
-pub fn profile_cell(opts: &Options) -> Result<EngineProfile, String> {
+/// Run the two engine self-profile cells and store them on `entry`:
+/// 2PC at MPL 8 with a series recorder beside the profiler, so
+/// calendar, dispatch, deadlock detection and the series sink all show
+/// up with real weights; and 2PC over [`scale_config`] with no sink,
+/// so `locks_ns` shows what immediate deadlock detection costs under
+/// Zipf contention.
+fn profile_cells(entry: &mut Entry, opts: &Options) -> Result<(), String> {
     let (warmup, measured) = run_length(opts.quick);
-    let cfg = SystemConfig::paper_baseline()
-        .with_mpl(8)
-        .with_run_length(warmup, measured);
-    let series_cfg = SeriesConfig::default();
-    let (_, profile) =
-        Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, Some(&series_cfg))
-            .map_err(|e| format!("profile cell: {e}"))?;
-    Ok(profile)
-}
-
-/// The scale self-profile cell: 2PC over [`scale_config`] at the grid's
-/// run length with no sink, so `locks_ns` shows what immediate
-/// deadlock detection costs under Zipf contention.
-pub fn scale_profile_cell(opts: &Options) -> Result<EngineProfile, String> {
-    let (warmup, measured) = run_length(opts.quick);
-    let cfg = scale_config().with_run_length(warmup, measured);
-    let (_, profile) = Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, None)
-        .map_err(|e| format!("scale profile cell: {e}"))?;
-    Ok(profile)
+    let canonical = SystemConfig::paper_baseline().with_mpl(8);
+    let rec = SeriesRecorder::buffered(&SeriesConfig::default());
+    for (cfg, rec, slot) in [
+        (canonical, Some(rec), &mut entry.profile),
+        (scale_config(), None, &mut entry.scale_profile),
+    ] {
+        let cfg = cfg.with_run_length(warmup, measured);
+        let observers = (Profiled::default(), rec);
+        let (_, (p, _)) =
+            Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, opts.seed, observers)
+                .map_err(|e| format!("profile cell: {e}"))?;
+        *slot = Some(p.profile);
+    }
+    Ok(())
 }
 
 /// Run the canonical grid, printing one progress line per cell to
 /// stderr. Each cell is a fresh deterministic [`Simulation`] timed
 /// with a monotonic clock. Two self-profile cells (see
-/// [`profile_cell`] and [`scale_profile_cell`]) run after the grid and
-/// ride on the entry.
+/// `profile_cells`) run after the grid and ride on the entry.
 pub fn run_grid(opts: &Options) -> Result<Entry, String> {
     let mut entry = grid_pass(opts, opts.label.clone(), false)?;
-    entry.profile = Some(profile_cell(opts)?);
-    entry.scale_profile = Some(scale_profile_cell(opts)?);
+    profile_cells(&mut entry, opts)?;
     Ok(entry)
 }
 
@@ -356,8 +352,7 @@ pub fn series_overhead(opts: &Options) -> Result<SeriesOverhead, String> {
     };
     let off = grid_pass(opts, suffix(" [series off]"), false)?;
     let mut on = grid_pass(opts, suffix(" [series on]"), true)?;
-    on.profile = Some(profile_cell(opts)?);
-    on.scale_profile = Some(scale_profile_cell(opts)?);
+    profile_cells(&mut on, opts)?;
     Ok(SeriesOverhead { off, on })
 }
 
@@ -410,14 +405,13 @@ pub fn render_entry(e: &Entry) -> String {
     out
 }
 
-/// One self-profile line: section shares of the profiled total.
-/// `locks` (deadlock detection) is nested inside `dispatch`.
+/// One self-profile line: disjoint section shares of the profiled total.
 fn render_profile(cell: &str, p: &EngineProfile) -> String {
-    let total = p.total_ns().max(1) as f64;
+    let total = p.total_ns.max(1) as f64;
     let pct = |ns: u64| 100.0 * ns as f64 / total;
     format!(
         "self-profile ({cell}): {} events in {:.3}s — calendar {:.1}%, \
-         dispatch {:.1}% (locks {:.1}%), series sink {:.1}%",
+         dispatch {:.1}%, detection {:.1}%, series sink {:.1}%",
         p.events,
         total / 1e9,
         pct(p.calendar_ns),
@@ -841,7 +835,7 @@ fn profile_json(p: &EngineProfile) -> Json {
         ("dispatch_ns".into(), Json::Num(p.dispatch_ns as f64)),
         ("locks_ns".into(), Json::Num(p.locks_ns as f64)),
         ("series_ns".into(), Json::Num(p.series_ns as f64)),
-        ("total_ns".into(), Json::Num(p.total_ns() as f64)),
+        ("total_ns".into(), Json::Num(p.total_ns as f64)),
     ])
 }
 
@@ -1145,15 +1139,17 @@ mod tests {
         e.profile = Some(EngineProfile {
             events: 9_999,
             calendar_ns: 100,
-            dispatch_ns: 800,
+            dispatch_ns: 750,
             locks_ns: 50,
             series_ns: 25,
+            total_ns: 925,
         });
         e.scale_profile = Some(EngineProfile {
             events: 20_000,
             calendar_ns: 100,
-            dispatch_ns: 900,
+            dispatch_ns: 500,
             locks_ns: 400,
+            total_ns: 1_000,
             ..EngineProfile::default()
         });
         let mut doc = empty_trajectory();
@@ -1178,7 +1174,7 @@ mod tests {
         assert_eq!(p.get("locks_ns").and_then(Json::as_f64), Some(400.0));
         assert_eq!(p.get("total_ns").and_then(Json::as_f64), Some(1000.0));
         // The human rendering shows the section shares, one line per
-        // profiled cell; `locks` is a share of the same total.
+        // profiled cell; detection is a disjoint share of the total.
         let rendered = render_entry(&e);
         assert!(
             rendered.contains("self-profile (2PC mpl 8, series sink on):"),
@@ -1189,7 +1185,7 @@ mod tests {
             rendered.contains("self-profile (scale 2PC mpl 4): 20000 events"),
             "{rendered}"
         );
-        assert!(rendered.contains("(locks 40.0%)"), "{rendered}");
+        assert!(rendered.contains("detection 40.0%"), "{rendered}");
     }
 
     #[test]

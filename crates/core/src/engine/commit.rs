@@ -11,12 +11,12 @@
 use super::types::{
     CohortH, CohortId, CohortPhase, LogWork, MsgKind, Parked, TxnH, TxnPhase, Vote,
 };
-use super::Simulation;
+use super::{Observer, Simulation};
 use crate::config::TransType;
 use crate::metrics::AbortReason;
 use commitproto::{Routing, Takeover};
 
-impl Simulation {
+impl<O: Observer> Simulation<O> {
     // ------------------------------------------------------------------
     // Master: execution-phase completion
     // ------------------------------------------------------------------
@@ -898,7 +898,7 @@ impl Simulation {
             let birth = t.birth;
             self.resp_estimate.record(response.as_secs_f64());
             self.metrics.record_commit(now, response, attempt);
-            self.series_note_commit(home);
+            self.obs.on_commit(home);
             // Phase split: execution runs from (re)submission to the
             // start of commit processing; voting from there to the
             // decision. Baselines without a voting phase start commit

@@ -6,7 +6,7 @@
 use super::types::{
     Cohort, CohortH, CohortId, CohortPhase, DiskJob, MsgKind, Parked, Txn, TxnH, TxnPhase,
 };
-use super::{Simulation, Site};
+use super::{Observer, Section, Simulation, Site};
 use crate::config::TransType;
 use crate::metrics::AbortReason;
 use crate::workload::SiteId;
@@ -14,7 +14,7 @@ use distlocks::deadlock::WaitForGraph;
 use distlocks::{Grant, LockMode, RequestOutcome};
 use simkernel::Slab;
 
-impl Simulation {
+impl<O: Observer> Simulation<O> {
     // ------------------------------------------------------------------
     // Submission
     // ------------------------------------------------------------------
@@ -188,7 +188,11 @@ impl Simulation {
                 let c = self.cohorts.get_mut(cohort).expect("checked above");
                 c.waiting_lock = true;
                 self.txn_block(th);
+                // Detection is a profiling section of its own, disjoint
+                // from the dispatch that entered it.
+                self.obs.on_section(Section::Detection);
                 self.deadlock_check(th);
+                self.obs.on_section(Section::Dispatch);
             }
         }
     }
@@ -316,24 +320,10 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Run cycle detection from `start` and abort youngest victims until
-    /// no cycle through `start` remains.
-    ///
-    /// When engine self-profiling is active the whole check is timed
-    /// into `locks_ns` (a subset of `dispatch_ns` — the check runs
-    /// inside event dispatch). The unprofiled path takes the first
-    /// branch with no `Instant` reads.
-    pub(crate) fn deadlock_check(&mut self, start: TxnH) {
-        if self.profile.is_none() {
-            return self.deadlock_check_inner(start);
-        }
-        let t0 = std::time::Instant::now();
-        self.deadlock_check_inner(start);
-        if let Some(p) = self.profile.as_mut() {
-            p.locks_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    fn deadlock_check_inner(&mut self, start: TxnH) {
+    /// no cycle through `start` remains. Out of line, as it runs only
+    /// when a request blocks: inlined, it bloats the access loop.
+    #[inline(never)]
+    fn deadlock_check(&mut self, start: TxnH) {
         loop {
             if !self.txns.contains(start) {
                 return; // start itself was the victim

@@ -16,6 +16,7 @@ mod commit;
 mod exec;
 pub mod fold;
 mod glog;
+mod observe;
 pub mod series;
 #[cfg(test)]
 mod tests;
@@ -24,7 +25,10 @@ mod types;
 
 pub use chrome::{chrome_trace_json, ChromeStreamSink, ChromeWriter};
 pub use fold::FoldSink;
-pub use series::{Series, SeriesConfig, SeriesFormat, SeriesMeta, SeriesWindow, SiteSample};
+pub use observe::{EngineProfile, Observer, Prefix, Profiled, RunStart, RunView, Section};
+pub use series::{
+    Series, SeriesConfig, SeriesFormat, SeriesMeta, SeriesRecorder, SeriesWindow, SiteSample,
+};
 pub use trace::{LogLabel, MsgLabel, Trace, TraceEvent, TraceSink};
 pub use types::{CohortId, TxnId};
 
@@ -73,6 +77,13 @@ impl ResourceAcc {
         self.max_queue = self.max_queue.max(max_queue);
         self.occupancy.merge(occupancy);
         self.n += 1;
+    }
+
+    /// Push one station's observations at `now`.
+    fn push_station<J>(&mut self, s: &mut Station<J>, now: SimTime) {
+        let (util, queue) = (s.utilization(now), s.mean_queue_depth(now));
+        let wait_s = s.mean_wait().as_secs_f64();
+        self.push(util, queue, wait_s, s.max_queue_depth(), s.occupancy(now));
     }
 
     fn stats(&self) -> ResourceStats {
@@ -129,8 +140,9 @@ pub(crate) struct Pools {
     pub borrowers: Vec<CohortH>,
 }
 
-/// A run of the simulator. Construct and execute with [`Simulation::run`].
-pub struct Simulation {
+/// A run of the simulator, watched by an [`Observer`] `O`. Construct
+/// and execute with [`Simulation::run`] or [`Simulation::run_observed`].
+pub struct Simulation<O = ()> {
     pub(crate) cfg: SystemConfig,
     pub(crate) spec: ProtocolSpec,
     /// The declarative behaviour table of `spec.base` — the engine is a
@@ -154,7 +166,6 @@ pub struct Simulation {
     commit_target: u64,
     warmup_target: u64,
     done: bool,
-    truncated: bool,
     pages_per_site_eff: u64,
     /// Largest cohort access list (§4: `1.5 × CohortSize`); lock owners
     /// reserve room for it up front.
@@ -177,52 +188,8 @@ pub struct Simulation {
     /// the largest live population, a run allocates nothing per
     /// transaction.
     pub(crate) pools: Pools,
-    /// Optional trace-event consumer; events are recorded for
-    /// transactions with id ≤ `trace_txn_limit`.
-    sink: Option<Box<dyn TraceSink>>,
-    trace_txn_limit: TxnId,
-    /// Optional windowed-series recorder (the time-series sink family).
-    series: Option<Box<series::SeriesRecorder>>,
-    /// Cached copy of the recorder's next window boundary so the event
-    /// loop pays one integer compare per event when no recorder is
-    /// installed (`SimTime(u64::MAX)` then).
-    series_boundary: SimTime,
-    /// Optional wall-clock self-profile (see [`EngineProfile`]);
-    /// enabled only by the bench harness.
-    profile: Option<Box<EngineProfile>>,
-}
-
-/// Wall-clock section counters for the engine's own hot path, measured
-/// with `std::time::Instant` around the main loop's sections. Wall
-/// time never feeds back into simulated time, so profiling cannot
-/// perturb a run — but the per-event timer reads are not free, which
-/// is why only `distcommit bench` enables it (on a dedicated cell,
-/// keeping the trajectory grid unprofiled and comparable).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineProfile {
-    /// Events dispatched while profiling.
-    pub events: u64,
-    /// Nanoseconds popping the calendar.
-    pub calendar_ns: u64,
-    /// Nanoseconds dispatching events: every handler, deadlock
-    /// detection included (see `locks_ns`).
-    pub dispatch_ns: u64,
-    /// Nanoseconds in deadlock detection. Nested *inside*
-    /// `dispatch_ns` (detection runs from a handler), so it is a
-    /// breakdown of that section, not a further share of the total:
-    /// [`EngineProfile::total_ns`] excludes it.
-    pub locks_ns: u64,
-    /// Nanoseconds closing series windows (the sink's on-path cost),
-    /// timed only on window boundaries: zero without a recorder.
-    pub series_ns: u64,
-}
-
-impl EngineProfile {
-    /// Total profiled wall time, nanoseconds: the disjoint sections
-    /// (`locks_ns` is already inside `dispatch_ns`).
-    pub fn total_ns(&self) -> u64 {
-        self.calendar_ns + self.dispatch_ns + self.series_ns
-    }
+    /// The run's observer; hooks get `&`-views of the state only.
+    obs: O,
 }
 
 // The experiment runner fans independent runs out over worker threads:
@@ -251,277 +218,169 @@ impl Simulation {
         spec: ProtocolSpec,
         seed: u64,
     ) -> Result<SimReport, ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        sim.execute();
-        Ok(sim.report())
-    }
-
-    /// Like [`Simulation::run`], but additionally records a protocol
-    /// [`Trace`] of every message, forced write and milestone for the
-    /// first `traced_txns` transactions submitted. Tracing does not
-    /// perturb the simulation: the report is identical to an untraced
-    /// run with the same inputs.
-    pub fn run_traced(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        traced_txns: u64,
-    ) -> Result<(SimReport, Trace), ConfigError> {
-        Self::run_with_sink(cfg, spec, seed, traced_txns, Trace::default())
+        Self::run_observed(cfg, spec, seed, ()).map(|(report, ())| report)
     }
 
     /// Like [`Simulation::run`], but feeds every trace event of the
-    /// first `traced_txns` transactions to `sink` as the run progresses
-    /// and hands the sink back with the report. This is the streaming
-    /// counterpart of [`Simulation::run_traced`]: the engine holds no
+    /// first `txns` transactions to `sink` as the run progresses
+    /// and hands the sink back with the report. The engine holds no
     /// event buffer of its own, so memory use is whatever the sink
     /// retains — bounded for [`chrome::ChromeStreamSink`] and
     /// [`fold::FoldSink`], the full event vector for [`Trace`].
     ///
-    /// Observing a run does not perturb it: the report is identical to
-    /// an untraced run with the same inputs.
-    ///
     /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
+    /// As [`Simulation::run`].
     pub fn run_with_sink<S: TraceSink>(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
         seed: u64,
-        traced_txns: u64,
+        txns: u64,
         sink: S,
     ) -> Result<(SimReport, S), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        sim.sink = Some(Box::new(sink));
-        sim.trace_txn_limit = traced_txns;
-        sim.execute();
-        let mut boxed = sim.sink.take().expect("sink installed above");
-        boxed.finish();
-        let any: Box<dyn std::any::Any> = boxed;
-        let sink = *any.downcast::<S>().expect("sink type is preserved");
-        Ok((sim.report(), sink))
+        Self::run_observed(cfg, spec, seed, Prefix { txns, sink }).map(|(r, p)| (r, p.sink))
     }
 
     /// Like [`Simulation::run`], but also collects a windowed metric
-    /// time series (buffered in memory; see
-    /// [`Simulation::run_with_series_stream`] for the bounded-memory
-    /// variant). Recording does not perturb the run: the report is
-    /// bit-identical to a plain run with the same inputs.
+    /// time series in memory ([`SeriesRecorder::streaming`] is the
+    /// bounded-memory variant).
     ///
     /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
+    /// As [`Simulation::run`].
     pub fn run_with_series(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
         seed: u64,
         series_cfg: &SeriesConfig,
     ) -> Result<(SimReport, Series), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        let rec = series::SeriesRecorder::new_buffered(
-            series_cfg,
-            sim.series_meta(seed, series_cfg),
-            sim.sites.len(),
-        );
-        sim.install_series(rec);
-        sim.execute();
-        let series = sim
-            .finish_series()
-            .expect("buffered series recording cannot fail");
-        Ok((sim.report(), series))
+        let (report, rec) =
+            Self::run_observed(cfg, spec, seed, SeriesRecorder::buffered(series_cfg))?;
+        let series = rec.into_series().expect("a buffered series does no I/O");
+        Ok((report, series))
     }
 
-    /// Like [`Simulation::run_with_series`], but streams each closed
-    /// window to `writer` as the run progresses instead of buffering —
-    /// the series counterpart of the Chrome-JSON streamer, and
-    /// byte-identical to rendering the buffered series in `format`.
+    /// Run `cfg` under `spec` with the given RNG `seed`, watched by
+    /// `obs`, and hand the observer back with the report. Observers see
+    /// the run read-only, so the report is bit-identical to
+    /// [`Simulation::run`]'s whatever `obs` is.
     ///
     /// # Errors
-    /// [`series::SeriesRunError::Config`] for an invalid configuration,
-    /// [`series::SeriesRunError::Io`] when the writer fails.
-    pub fn run_with_series_stream(
+    /// As [`Simulation::run`].
+    pub fn run_observed<O: Observer>(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
         seed: u64,
-        series_cfg: &SeriesConfig,
-        writer: Box<dyn std::io::Write + Send>,
-        format: SeriesFormat,
-    ) -> Result<SimReport, series::SeriesRunError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        let rec = series::SeriesRecorder::new_streaming(
-            series_cfg,
-            sim.series_meta(seed, series_cfg),
-            sim.sites.len(),
-            writer,
-            format,
-        )?;
-        sim.install_series(rec);
-        sim.execute();
-        sim.finish_series()?;
-        Ok(sim.report())
-    }
-
-    /// Like [`Simulation::run`], but with wall-clock self-profiling of
-    /// the engine's hot-path sections, optionally with a series
-    /// recorder installed (buffered and discarded) so the sink's
-    /// on-path cost shows up in the `series_ns` section. Used by
-    /// `distcommit bench`.
-    ///
-    /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
-    pub fn run_profiled(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: Option<&SeriesConfig>,
-    ) -> Result<(SimReport, EngineProfile), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        if let Some(scfg) = series_cfg {
-            let rec = series::SeriesRecorder::new_buffered(
-                scfg,
-                sim.series_meta(seed, scfg),
-                sim.sites.len(),
-            );
-            sim.install_series(rec);
-        }
-        sim.profile = Some(Box::default());
-        sim.execute();
-        if sim.series.is_some() {
-            sim.finish_series()
-                .expect("buffered series recording cannot fail");
-        }
-        let profile = *sim.profile.take().expect("profile installed above");
-        Ok((sim.report(), profile))
-    }
-
-    fn series_meta(&self, seed: u64, scfg: &SeriesConfig) -> SeriesMeta {
-        SeriesMeta {
-            protocol: self.spec.name().to_string(),
-            mpl: self.cfg.mpl,
+        obs: O,
+    ) -> Result<(SimReport, O), ConfigError> {
+        let mut s = Simulation::new(cfg, spec, seed, obs)?;
+        s.obs.on_start(&RunStart {
+            protocol: s.spec.name(),
+            mpl: s.cfg.mpl,
             seed,
-            window_s: scfg.window.as_secs_f64(),
-            per_site: scfg.per_site,
-        }
+            sites: s.sites.len(),
+            warmup: s.warmup_target > 0,
+        });
+        s.execute();
+        let (obs, view) = s.observe();
+        obs.on_finish(&view);
+        let report = build_report(&s.cfg, s.spec, &s.cal, &mut s.metrics, &mut s.sites);
+        Ok((report, s.obs))
     }
+}
 
-    fn install_series(&mut self, rec: series::SeriesRecorder) {
-        let mut rec = Box::new(rec);
-        if self.warmup_target > 0 {
-            rec.begin_warmup();
-        }
-        self.series_boundary = rec.next_boundary();
-        self.series = Some(rec);
+/// Reject configurations the engine cannot run under `spec`, and
+/// return the spec's behaviour table.
+fn validate(cfg: &SystemConfig, spec: ProtocolSpec) -> Result<SpecTable, ConfigError> {
+    cfg.validate()?;
+    if !spec.is_valid() {
+        return Err(ConfigError::Invalid(
+            "OPT cannot be combined with a baseline protocol",
+        ));
     }
-
-    /// Close the final partial window and hand the series back
-    /// (flushing the writer in streaming mode).
-    fn finish_series(&mut self) -> std::io::Result<Series> {
-        let rec = self.series.take().expect("series recorder installed");
-        self.series_boundary = SimTime(u64::MAX);
-        let now = self.cal.now();
-        rec.finish(now, &mut self.metrics, &self.sites)
-    }
-
-    /// Record one trace event for `txn`, if tracing is active and the
-    /// transaction is within the traced prefix.
-    pub(crate) fn trace_event(&mut self, txn: TxnId, make: impl FnOnce(SimTime) -> TraceEvent) {
-        if self.trace_txn_limit >= txn {
-            let now = self.cal.now();
-            if let Some(sink) = self.sink.as_mut() {
-                sink.record(&make(now));
-            }
-        }
-    }
-
-    fn new(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        if !spec.is_valid() {
+    let table = spec.base.table();
+    if matches!(table.routing, Routing::Chain) {
+        if cfg.read_only_optimization {
             return Err(ConfigError::Invalid(
-                "OPT cannot be combined with a baseline protocol",
+                "the read-only optimization would break the linear-2PC chain",
             ));
         }
-        let table = spec.base.table();
-        if matches!(table.routing, Routing::Chain) {
-            if cfg.read_only_optimization {
-                return Err(ConfigError::Invalid(
-                    "the read-only optimization would break the linear-2PC chain",
-                ));
-            }
-            if cfg.failures.is_some() {
-                return Err(ConfigError::Invalid(
-                    "failure injection models the parallel decision point and does not \
+        if cfg.failures.is_some() {
+            return Err(ConfigError::Invalid(
+                "failure injection models the parallel decision point and does not \
                      support chained 2PC",
-                ));
-            }
-        }
-        if cfg.replication > 0 && !spec.is_replicated() {
-            return Err(ConfigError::Invalid(
-                "replication degree requires a replicated protocol (PAXOS or REP2PC)",
             ));
         }
-        if spec.is_replicated() {
-            if cfg.read_only_optimization {
-                return Err(ConfigError::Invalid(
-                    "the read-only optimization is not modeled for replicated protocols",
-                ));
-            }
-            if 2 * cfg.replication as usize + 1 > cfg.num_sites {
-                return Err(ConfigError::Invalid(
-                    "2F+1 acceptors need at least 2F+1 sites",
-                ));
-            }
+    }
+    if cfg.replication > 0 && !spec.is_replicated() {
+        return Err(ConfigError::Invalid(
+            "replication degree requires a replicated protocol (PAXOS or REP2PC)",
+        ));
+    }
+    if spec.is_replicated() {
+        if cfg.read_only_optimization {
+            return Err(ConfigError::Invalid(
+                "the read-only optimization is not modeled for replicated protocols",
+            ));
         }
+        if 2 * cfg.replication as usize + 1 > cfg.num_sites {
+            return Err(ConfigError::Invalid(
+                "2F+1 acceptors need at least 2F+1 sites",
+            ));
+        }
+    }
+    Ok(table)
+}
+
+/// The stations and lock tables of `num_sites` effective sites, each
+/// carrying `merge` sites' worth of hardware and pages.
+fn build_sites(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    num_sites: usize,
+    merge: usize,
+) -> Vec<Site> {
+    let cpus = cfg.num_cpus as usize * merge;
+    let data_disks = cfg.num_data_disks as usize * merge;
+    let log_disks = cfg.num_log_disks as usize * merge;
+    let pages_per_site_eff = cfg.pages_per_site() * merge as u64;
+    fn station<J>(mode: ResourceMode, servers: usize) -> Station<J> {
+        match mode {
+            ResourceMode::Finite => Station::finite(servers as u32),
+            ResourceMode::Infinite => Station::infinite(),
+        }
+    }
+    (0..num_sites)
+        .map(|_| Site {
+            cpu: station(cfg.resources, cpus),
+            data_disks: (0..data_disks).map(|_| station(cfg.resources, 1)).collect(),
+            log_disks: (0..log_disks).map(|_| station(cfg.resources, 1)).collect(),
+            batched_logs: match (cfg.group_commit_batch, cfg.resources) {
+                (Some(k), ResourceMode::Finite) => {
+                    Some((0..log_disks).map(|_| glog::BatchedLog::new(k)).collect())
+                }
+                // Nothing queues under infinite resources, so
+                // batching would never group anything.
+                _ => None,
+            },
+            // Page ids within one effective site are distinct
+            // residues modulo `pages_per_site_eff`, so they fold
+            // injectively into a dense table of that size.
+            locks: LockManager::for_pages(spec.opt, pages_per_site_eff),
+            owner_cohorts: Vec::new(),
+            next_log_disk: 0,
+        })
+        .collect()
+}
+
+impl<O: Observer> Simulation<O> {
+    fn new(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, obs: O) -> Result<Self, ConfigError> {
+        let table = validate(cfg, spec)?;
         let wl = WorkloadGenerator::new(cfg, spec.base);
         let num_sites = wl.effective_sites();
         // CENT merges every site's hardware into one station pool
         // ("equivalent in terms of database size and physical
         // resources", §5.1).
         let merge = cfg.num_sites / num_sites;
-        let cpus = cfg.num_cpus as usize * merge;
-        let data_disks = cfg.num_data_disks as usize * merge;
-        let log_disks = cfg.num_log_disks as usize * merge;
-        let pages_per_site_eff = cfg.pages_per_site() * merge as u64;
-
-        let mk_station = || match cfg.resources {
-            ResourceMode::Finite => None,
-            ResourceMode::Infinite => Some(()),
-        };
-        let sites = (0..num_sites)
-            .map(|_| Site {
-                cpu: match mk_station() {
-                    None => Station::finite(cpus as u32),
-                    Some(()) => Station::infinite(),
-                },
-                data_disks: (0..data_disks)
-                    .map(|_| match mk_station() {
-                        None => Station::finite(1),
-                        Some(()) => Station::infinite(),
-                    })
-                    .collect(),
-                log_disks: (0..log_disks)
-                    .map(|_| match mk_station() {
-                        None => Station::finite(1),
-                        Some(()) => Station::infinite(),
-                    })
-                    .collect(),
-                batched_logs: match (cfg.group_commit_batch, cfg.resources) {
-                    (Some(k), ResourceMode::Finite) => {
-                        Some((0..log_disks).map(|_| glog::BatchedLog::new(k)).collect())
-                    }
-                    // Nothing queues under infinite resources, so
-                    // batching would never group anything.
-                    _ => None,
-                },
-                // Page ids within one effective site are distinct
-                // residues modulo `pages_per_site_eff`, so they fold
-                // injectively into a dense table of that size.
-                locks: LockManager::for_pages(spec.opt, pages_per_site_eff),
-                owner_cohorts: Vec::new(),
-                next_log_disk: 0,
-            })
-            .collect();
-
+        let sites = build_sites(cfg, spec, num_sites, merge);
         let metrics = Metrics::new(
             SimTime::ZERO,
             cfg.run.measured_transactions,
@@ -545,8 +404,7 @@ impl Simulation {
             commit_target: cfg.run.warmup_transactions + cfg.run.measured_transactions,
             warmup_target: cfg.run.warmup_transactions,
             done: false,
-            truncated: false,
-            pages_per_site_eff,
+            pages_per_site_eff: cfg.pages_per_site() * merge as u64,
             max_cohort_pages: cfg.max_cohort_pages() as usize,
             // Keyed by *effective* sites: CENT's merged site pool has
             // no inter-site links, so its matrix is empty/diagonal.
@@ -555,11 +413,7 @@ impl Simulation {
             blocker_keys: Vec::new(),
             parked: Slab::new(),
             pools: Pools::default(),
-            sink: None,
-            trace_txn_limit: 0,
-            series: None,
-            series_boundary: SimTime(u64::MAX),
-            profile: None,
+            obs,
         };
         // Closed system: MPL transactions per (effective) site. The
         // merged CENT site carries the whole population.
@@ -575,11 +429,28 @@ impl Simulation {
         Ok(sim)
     }
 
-    fn execute(&mut self) {
-        if self.profile.is_some() {
-            return self.execute_profiled();
+    /// The run's observer beside a read-only view of the run.
+    fn observe(&mut self) -> (&mut O, RunView<'_>) {
+        let view = RunView {
+            now: self.cal.now(),
+            metrics: &self.metrics,
+            sites: &self.sites,
+        };
+        (&mut self.obs, view)
+    }
+
+    /// Hand one trace event for `txn` to the observer, if it wants it.
+    pub(crate) fn trace_event(&mut self, txn: TxnId, make: impl FnOnce(SimTime) -> TraceEvent) {
+        if self.obs.wants(txn) {
+            self.obs.on_event(&make(self.cal.now()));
         }
+    }
+
+    /// The event loop: pop, cross any observer boundary, dispatch. With
+    /// `O = ()` every hook compiles away.
+    fn execute(&mut self) {
         while !self.done {
+            self.obs.on_section(Section::Calendar);
             let Some((now, event)) = self.cal.next() else {
                 // A closed system must never drain its calendar: every
                 // transaction always has a pending event, a lock wait
@@ -592,61 +463,16 @@ impl Simulation {
             };
             if let Some(cap) = self.cfg.run.max_sim_time {
                 if now > cap {
-                    self.truncated = true;
                     break;
                 }
             }
-            if now >= self.series_boundary {
-                self.close_series_windows(now);
+            if now >= self.obs.next_boundary() {
+                self.obs.on_section(Section::Series);
+                let (obs, view) = self.observe();
+                obs.on_boundary(&view);
             }
+            self.obs.on_section(Section::Dispatch);
             self.dispatch(event);
-        }
-    }
-
-    /// [`Simulation::execute`] with wall-clock section timing. A
-    /// separate copy so the unprofiled hot path carries no timer reads.
-    fn execute_profiled(&mut self) {
-        while !self.done {
-            let t0 = std::time::Instant::now();
-            let Some((now, event)) = self.cal.next() else {
-                panic!(
-                    "event calendar drained — stuck state:\n{}",
-                    self.dump_stuck()
-                );
-            };
-            let t1 = std::time::Instant::now();
-            if let Some(cap) = self.cfg.run.max_sim_time {
-                if now > cap {
-                    self.truncated = true;
-                    break;
-                }
-            }
-            // The series section is timed only when a window actually
-            // closes, so a run without a recorder reports zero sink
-            // cost and pays no extra clock read per event.
-            let mut dispatch_start = t1;
-            if now >= self.series_boundary {
-                self.close_series_windows(now);
-                dispatch_start = std::time::Instant::now();
-            }
-            self.dispatch(event);
-            let t2 = std::time::Instant::now();
-            let p = self.profile.as_mut().expect("profiled loop");
-            p.events += 1;
-            p.calendar_ns += (t1 - t0).as_nanos() as u64;
-            p.series_ns += (dispatch_start - t1).as_nanos() as u64;
-            p.dispatch_ns += (t2 - dispatch_start).as_nanos() as u64;
-        }
-    }
-
-    /// Close every series window with a boundary at or before `now`
-    /// (the recorder is briefly detached to appease the borrow
-    /// checker — two pointer moves, only on boundary crossings).
-    fn close_series_windows(&mut self, now: SimTime) {
-        if let Some(mut rec) = self.series.take() {
-            rec.close_through(now, &mut self.metrics, &self.sites);
-            self.series_boundary = rec.next_boundary();
-            self.series = Some(rec);
         }
     }
 
@@ -1254,29 +1080,17 @@ impl Simulation {
         }
     }
 
-    /// Series hook at the commit decision: attribute one commit to the
-    /// transaction's home site.
-    pub(crate) fn series_note_commit(&mut self, home: SiteId) {
-        if let Some(rec) = self.series.as_mut() {
-            rec.note_commit(home);
-        }
-    }
-
     /// Called at every commit point: advances warm-up/measurement
     /// bookkeeping and stops the run at the target.
     pub(crate) fn note_commit_for_run_control(&mut self) {
         self.total_commits += 1;
         if self.total_commits == self.warmup_target {
+            // Observers see the warm-up counters one last time *before*
+            // they reset (the series force-closes its partial window
+            // here, so measured windows tile the measurement interval).
+            let (obs, view) = self.observe();
+            obs.on_warmup_end(&view);
             let now = self.cal.now();
-            // Force-close the series' partial warm-up window *before*
-            // the counters reset, so measured windows tile exactly over
-            // the measurement interval and their deltas sum to the
-            // report aggregates.
-            if let Some(mut rec) = self.series.take() {
-                rec.close_warmup(now, &mut self.metrics, &self.sites);
-                self.series_boundary = rec.next_boundary();
-                self.series = Some(rec);
-            }
             self.metrics.reset(now);
             for site in &mut self.sites {
                 site.cpu.reset_stats(now);
@@ -1377,161 +1191,6 @@ impl Simulation {
             .record(message_delta, forced_write_delta);
     }
 
-    fn report(&mut self) -> SimReport {
-        let now = self.cal.now();
-        let window = now.since(self.metrics.start).as_secs_f64();
-        let committed = self.metrics.committed.get();
-        let throughput = if window > 0.0 {
-            committed as f64 / window
-        } else {
-            0.0
-        };
-
-        let mut site_resources = Vec::with_capacity(self.sites.len());
-        for site in &mut self.sites {
-            let mut cpu_acc = ResourceAcc::default();
-            let mut dd_acc = ResourceAcc::default();
-            let mut ld_acc = ResourceAcc::default();
-            cpu_acc.push(
-                site.cpu.utilization(now),
-                site.cpu.mean_queue_depth(now),
-                site.cpu.mean_wait().as_secs_f64(),
-                site.cpu.max_queue_depth(),
-                site.cpu.occupancy(now),
-            );
-            for d in &mut site.data_disks {
-                dd_acc.push(
-                    d.utilization(now),
-                    d.mean_queue_depth(now),
-                    d.mean_wait().as_secs_f64(),
-                    d.max_queue_depth(),
-                    d.occupancy(now),
-                );
-            }
-            match site.batched_logs.as_mut() {
-                Some(batchers) => {
-                    for b in batchers {
-                        // Per-record waits are not tracked under group
-                        // commit; the queue-depth integral still is.
-                        let util = b.utilization(now);
-                        let queue = b.mean_queue_depth(now);
-                        let max = b.max_queue_depth();
-                        ld_acc.push(util, queue, 0.0, max, b.occupancy(now));
-                    }
-                }
-                None => {
-                    for d in &mut site.log_disks {
-                        ld_acc.push(
-                            d.utilization(now),
-                            d.mean_queue_depth(now),
-                            d.mean_wait().as_secs_f64(),
-                            d.max_queue_depth(),
-                            d.occupancy(now),
-                        );
-                    }
-                }
-            }
-            site_resources.push(ResourceReport {
-                cpu: cpu_acc.stats(),
-                data_disk: dd_acc.stats(),
-                log_disk: ld_acc.stats(),
-            });
-        }
-        let averaged = ResourceReport::average(&site_resources);
-        let utilizations = Utilizations {
-            cpu: averaged.cpu.utilization,
-            data_disk: averaged.data_disk.utilization,
-            log_disk: averaged.log_disk.utilization,
-        };
-
-        let mut batches = 0u64;
-        let mut batched_writes = 0u64;
-        for site in &self.sites {
-            match site.batched_logs.as_ref() {
-                Some(bs) => {
-                    for b in bs {
-                        batches += b.batches_served();
-                        batched_writes += b.writes_served();
-                    }
-                }
-                None => {
-                    for d in &site.log_disks {
-                        batches += d.served();
-                        batched_writes += d.served();
-                    }
-                }
-            }
-        }
-        let mean_log_batch = if batches == 0 {
-            0.0
-        } else {
-            batched_writes as f64 / batches as f64
-        };
-
-        let blocked_avg = self.metrics.blocked_txns.time_average(now);
-        let live_avg = self.metrics.live_txns.time_average(now);
-        let block_ratio = if live_avg > 0.0 {
-            blocked_avg / live_avg
-        } else {
-            0.0
-        };
-
-        SimReport {
-            protocol: self.spec.name().to_string(),
-            mpl: self.cfg.mpl,
-            sim_seconds: window,
-            committed,
-            aborted_deadlock: self.metrics.aborted_deadlock.get(),
-            aborted_surprise: self.metrics.aborted_surprise.get(),
-            aborted_borrower: self.metrics.aborted_borrower.get(),
-            aborted_crash: self.metrics.aborted_crash.get(),
-            throughput,
-            throughput_ci: self.metrics.throughput_batches.confidence_interval(),
-            mean_response_s: self.metrics.response.mean(),
-            p50_response_s: self.metrics.response_hist.p50().as_secs_f64(),
-            p95_response_s: self.metrics.response_hist.p95().as_secs_f64(),
-            p99_response_s: self.metrics.response_hist.p99().as_secs_f64(),
-            mean_attempt_response_s: self.metrics.attempt_response.mean(),
-            block_ratio,
-            borrow_ratio: self.metrics.borrowed_pages.per(committed),
-            exec_messages_per_commit: self.metrics.exec_messages.per(committed),
-            commit_messages_per_commit: self.metrics.commit_messages.per(committed),
-            forced_writes_per_commit: self.metrics.forced_writes.per(committed),
-            mean_shelf_time_s: self.metrics.shelf_time.mean(),
-            mean_prepared_time_s: self.metrics.prepared_time.mean(),
-            phase_latencies: PhaseLatencies {
-                execution: LatencySummary::from_histogram(&self.metrics.phase_execution),
-                voting: LatencySummary::from_histogram(&self.metrics.phase_voting),
-                decision: LatencySummary::from_histogram(&self.metrics.phase_decision),
-            },
-            utilizations,
-            site_resources,
-            overhead_check: self.metrics.overhead_check,
-            mean_log_batch,
-            faults: crate::metrics::FaultCounters {
-                master_crashes: self.metrics.master_crashes.get(),
-                cohort_crashes: self.metrics.cohort_crashes.get(),
-                messages_lost: self.metrics.messages_lost.get(),
-                retransmissions: self.metrics.retransmissions.get(),
-                retry_escalations: self.metrics.retry_escalations.get(),
-                termination_rounds: self.metrics.termination_rounds.get(),
-                master_crash_trials: self.metrics.master_crash_trials.get(),
-                cohort_crash_trials: self.metrics.cohort_crash_trials.get(),
-                message_loss_trials: self.metrics.message_loss_trials.get(),
-                blocked_on_crash_cohorts: self.metrics.blocked_on_crash_cohorts.get(),
-                mean_blocked_on_crash_s: self.metrics.crash_block_time.mean(),
-            },
-            convergence: self.metrics.convergence(),
-            events: self.cal.dispatched_count(),
-        }
-    }
-
-    /// Whether the run hit its simulated-time cap before committing the
-    /// requested number of transactions.
-    pub fn was_truncated(&self) -> bool {
-        self.truncated
-    }
-
     /// Render every in-flight transaction and cohort — the post-mortem
     /// attached to the calendar-drain panic.
     fn dump_stuck(&self) -> String {
@@ -1570,5 +1229,130 @@ impl Simulation {
             }
         }
         out
+    }
+}
+
+/// Build the report of a finished run from its end state.
+fn build_report(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    cal: &Calendar<Event>,
+    metrics: &mut Metrics,
+    sites: &mut [Site],
+) -> SimReport {
+    let now = cal.now();
+    let window = now.since(metrics.start).as_secs_f64();
+    let committed = metrics.committed.get();
+    let throughput = if window > 0.0 {
+        committed as f64 / window
+    } else {
+        0.0
+    };
+
+    let mut site_resources = Vec::with_capacity(sites.len());
+    let (mut batches, mut batched_writes) = (0u64, 0u64);
+    for site in sites.iter_mut() {
+        let mut cpu_acc = ResourceAcc::default();
+        let mut dd_acc = ResourceAcc::default();
+        let mut ld_acc = ResourceAcc::default();
+        cpu_acc.push_station(&mut site.cpu, now);
+        for d in &mut site.data_disks {
+            dd_acc.push_station(d, now);
+        }
+        match site.batched_logs.as_mut() {
+            Some(batchers) => {
+                for b in batchers {
+                    // Per-record waits are not tracked under group
+                    // commit; the queue-depth integral still is.
+                    let util = b.utilization(now);
+                    let queue = b.mean_queue_depth(now);
+                    let max = b.max_queue_depth();
+                    ld_acc.push(util, queue, 0.0, max, b.occupancy(now));
+                    batches += b.batches_served();
+                    batched_writes += b.writes_served();
+                }
+            }
+            None => {
+                for d in &mut site.log_disks {
+                    ld_acc.push_station(d, now);
+                    batches += d.served();
+                    batched_writes += d.served();
+                }
+            }
+        }
+        site_resources.push(ResourceReport {
+            cpu: cpu_acc.stats(),
+            data_disk: dd_acc.stats(),
+            log_disk: ld_acc.stats(),
+        });
+    }
+    let averaged = ResourceReport::average(&site_resources);
+    let utilizations = Utilizations {
+        cpu: averaged.cpu.utilization,
+        data_disk: averaged.data_disk.utilization,
+        log_disk: averaged.log_disk.utilization,
+    };
+
+    let mean_log_batch = if batches == 0 {
+        0.0
+    } else {
+        batched_writes as f64 / batches as f64
+    };
+
+    let blocked_avg = metrics.blocked_txns.time_average(now);
+    let live_avg = metrics.live_txns.time_average(now);
+    let block_ratio = if live_avg > 0.0 {
+        blocked_avg / live_avg
+    } else {
+        0.0
+    };
+
+    SimReport {
+        protocol: spec.name().to_string(),
+        mpl: cfg.mpl,
+        sim_seconds: window,
+        committed,
+        aborted_deadlock: metrics.aborted_deadlock.get(),
+        aborted_surprise: metrics.aborted_surprise.get(),
+        aborted_borrower: metrics.aborted_borrower.get(),
+        aborted_crash: metrics.aborted_crash.get(),
+        throughput,
+        throughput_ci: metrics.throughput_batches.confidence_interval(),
+        mean_response_s: metrics.response.mean(),
+        p50_response_s: metrics.response_hist.p50().as_secs_f64(),
+        p95_response_s: metrics.response_hist.p95().as_secs_f64(),
+        p99_response_s: metrics.response_hist.p99().as_secs_f64(),
+        mean_attempt_response_s: metrics.attempt_response.mean(),
+        block_ratio,
+        borrow_ratio: metrics.borrowed_pages.per(committed),
+        exec_messages_per_commit: metrics.exec_messages.per(committed),
+        commit_messages_per_commit: metrics.commit_messages.per(committed),
+        forced_writes_per_commit: metrics.forced_writes.per(committed),
+        mean_shelf_time_s: metrics.shelf_time.mean(),
+        mean_prepared_time_s: metrics.prepared_time.mean(),
+        phase_latencies: PhaseLatencies {
+            execution: LatencySummary::from_histogram(&metrics.phase_execution),
+            voting: LatencySummary::from_histogram(&metrics.phase_voting),
+            decision: LatencySummary::from_histogram(&metrics.phase_decision),
+        },
+        utilizations,
+        site_resources,
+        overhead_check: metrics.overhead_check,
+        mean_log_batch,
+        faults: crate::metrics::FaultCounters {
+            master_crashes: metrics.master_crashes.get(),
+            cohort_crashes: metrics.cohort_crashes.get(),
+            messages_lost: metrics.messages_lost.get(),
+            retransmissions: metrics.retransmissions.get(),
+            retry_escalations: metrics.retry_escalations.get(),
+            termination_rounds: metrics.termination_rounds.get(),
+            master_crash_trials: metrics.master_crash_trials.get(),
+            cohort_crash_trials: metrics.cohort_crash_trials.get(),
+            message_loss_trials: metrics.message_loss_trials.get(),
+            blocked_on_crash_cohorts: metrics.blocked_on_crash_cohorts.get(),
+            mean_blocked_on_crash_s: metrics.crash_block_time.mean(),
+        },
+        convergence: metrics.convergence(),
+        events: cal.dispatched_count(),
     }
 }

@@ -23,50 +23,15 @@
 //!    instead of buffering; the streamed bytes are identical to the
 //!    buffered render because both go through the same row renderers.
 //!
-//! Observation does not perturb the run: the recorder reads counters
-//! that the engine maintains anyway, and its per-site commit tallies
-//! are bumped outside any RNG-consuming path, so a run with the
-//! recorder installed reports bit-identical metrics to one without.
+//! The recorder is an [`Observer`]: it reads the engine's counters
+//! through a read-only view and keeps its own per-site commit tallies,
+//! so a run it watches reports bit-identical metrics to one without.
 
-use std::io::Write as IoWrite;
+use std::io::{self, Write as IoWrite};
 
 use simkernel::{SimDuration, SimTime};
 
-use super::Site;
-use crate::metrics::Metrics;
-
-/// Error from a streaming series run: the run never started
-/// (configuration) or the output writer failed.
-#[derive(Debug)]
-pub enum SeriesRunError {
-    /// Invalid configuration or protocol spec.
-    Config(crate::config::ConfigError),
-    /// The series writer failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for SeriesRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SeriesRunError::Config(e) => write!(f, "{e}"),
-            SeriesRunError::Io(e) => write!(f, "series output failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SeriesRunError {}
-
-impl From<crate::config::ConfigError> for SeriesRunError {
-    fn from(e: crate::config::ConfigError) -> Self {
-        SeriesRunError::Config(e)
-    }
-}
-
-impl From<std::io::Error> for SeriesRunError {
-    fn from(e: std::io::Error) -> Self {
-        SeriesRunError::Io(e)
-    }
-}
+use super::{Observer, RunStart, RunView};
 
 /// Configuration for windowed series collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +163,7 @@ struct Baselines {
 
 /// Identity of the run a series belongs to, carried into the output
 /// header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesMeta {
     /// Protocol name (paper spelling).
     pub protocol: String,
@@ -217,17 +182,18 @@ enum Output {
     Stream {
         writer: Box<dyn IoWrite + Send>,
         format: SeriesFormat,
-        wrote_window: bool,
+        /// The first write error; the stream goes quiet after it.
+        error: Option<io::Error>,
     },
 }
 
-/// The engine-side recorder. Installed on a [`super::Simulation`] via
-/// the series run entry points; windows close lazily as events cross
+/// The windowed-series observer. Windows close lazily as events cross
 /// boundaries, plus one forced partial close at the warm-up reset so
-/// measured windows tile the measurement interval exactly.
+/// measured windows tile the measurement interval exactly. Pass it to
+/// [`super::Simulation::run_observed`] and take the result with
+/// [`SeriesRecorder::into_series`].
 pub struct SeriesRecorder {
     window: SimDuration,
-    per_site: bool,
     measured: bool,
     window_start: SimTime,
     next_boundary: SimTime,
@@ -241,132 +207,56 @@ pub struct SeriesRecorder {
 }
 
 impl SeriesRecorder {
-    pub(crate) fn new_buffered(cfg: &SeriesConfig, meta: SeriesMeta, sites: usize) -> Self {
-        Self::new(cfg, meta, sites, Output::Buffer(Vec::new()))
-    }
-
-    pub(crate) fn new_streaming(
-        cfg: &SeriesConfig,
-        meta: SeriesMeta,
-        sites: usize,
-        mut writer: Box<dyn IoWrite + Send>,
-        format: SeriesFormat,
-    ) -> std::io::Result<Self> {
-        match format {
-            SeriesFormat::Csv => writer.write_all(csv_header().as_bytes())?,
-            SeriesFormat::Json => writer.write_all(json_header(&meta).as_bytes())?,
-        }
-        Ok(Self::new(
-            cfg,
-            meta,
-            sites,
-            Output::Stream {
-                writer,
-                format,
-                wrote_window: false,
-            },
-        ))
-    }
-
-    fn new(cfg: &SeriesConfig, meta: SeriesMeta, sites: usize, out: Output) -> Self {
+    /// A recorder that keeps every closed window in memory.
+    pub fn buffered(cfg: &SeriesConfig) -> Self {
         assert!(!cfg.window.is_zero(), "series window must be positive");
         SeriesRecorder {
             window: cfg.window,
-            per_site: cfg.per_site,
-            // Runs with no warm-up measure from t = 0; `start_measuring`
-            // flips this for warmed-up runs.
             measured: true,
             window_start: SimTime::ZERO,
             next_boundary: SimTime(cfg.window.as_micros()),
             index: 0,
-            base: Baselines {
-                site_commits: vec![0; sites],
-                ..Baselines::default()
+            base: Baselines::default(),
+            site_commits: Vec::new(),
+            meta: SeriesMeta {
+                window_s: cfg.window.as_secs_f64(),
+                per_site: cfg.per_site,
+                ..SeriesMeta::default()
             },
-            site_commits: vec![0; sites],
-            meta,
-            out,
+            out: Output::Buffer(Vec::new()),
         }
     }
 
-    /// Mark the windows from here on as warm-up (called at install time
-    /// when the run has a non-zero warm-up target).
-    pub(crate) fn begin_warmup(&mut self) {
-        self.measured = false;
-    }
-
-    /// First event time at or after which a window must close.
-    pub(crate) fn next_boundary(&self) -> SimTime {
-        self.next_boundary
-    }
-
-    /// Engine hook: transaction with home site `site` committed.
-    pub(crate) fn note_commit(&mut self, site: usize) {
-        if let Some(c) = self.site_commits.get_mut(site) {
-            *c += 1;
+    /// A recorder that streams each closed window to `writer` as the
+    /// run progresses, byte-identical to rendering the buffered series
+    /// in `format`. The first write error is latched (the stream goes
+    /// quiet, the run goes on) and returned by
+    /// [`SeriesRecorder::into_series`].
+    pub fn streaming(
+        cfg: &SeriesConfig,
+        writer: Box<dyn IoWrite + Send>,
+        format: SeriesFormat,
+    ) -> Self {
+        SeriesRecorder {
+            out: Output::Stream {
+                writer,
+                format,
+                error: None,
+            },
+            ..Self::buffered(cfg)
         }
     }
 
-    /// Close every window whose boundary is at or before `now`. Called
-    /// lazily from the event loop just before dispatching the first
-    /// event past a boundary, so a window's deltas never include
-    /// effects from beyond its end.
-    pub(crate) fn close_through(&mut self, now: SimTime, metrics: &mut Metrics, sites: &[Site]) {
-        while now >= self.next_boundary {
-            let end = self.next_boundary;
-            self.close_at(end, metrics, sites);
-            self.next_boundary = SimTime(end.as_micros() + self.window.as_micros());
-        }
-    }
-
-    /// Force-close the current partial window at the warm-up reset
-    /// instant. Must run *before* `Metrics::reset`: the window deltas
-    /// are taken against the pre-reset counters, then every baseline is
-    /// zeroed to match the freshly reset counters, and window tiling
-    /// restarts at `now` so measured windows align with the
-    /// measurement interval.
-    pub(crate) fn close_warmup(&mut self, now: SimTime, metrics: &mut Metrics, sites: &[Site]) {
-        if now > self.window_start {
-            self.close_at(now, metrics, sites);
-        }
-        self.measured = true;
-        self.window_start = now;
-        self.next_boundary = SimTime(now.as_micros() + self.window.as_micros());
-        self.base = Baselines {
-            site_commits: vec![0; self.site_commits.len()],
-            ..Baselines::default()
-        };
-        for c in &mut self.site_commits {
-            *c = 0;
-        }
-    }
-
-    /// Close the final partial window at end of run and hand back the
-    /// finished series (buffered mode) plus any streaming error.
-    pub(crate) fn finish(
-        mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        sites: &[Site],
-    ) -> std::io::Result<Series> {
-        self.close_through(now, metrics, sites);
-        if now > self.window_start {
-            self.close_at(now, metrics, sites);
-        }
+    /// The finished series (its windows are empty when streamed), or
+    /// the first error the stream hit.
+    ///
+    /// # Errors
+    /// Returns the first write or flush error of a streaming recorder.
+    pub fn into_series(self) -> io::Result<Series> {
         let windows = match self.out {
             Output::Buffer(w) => w,
-            Output::Stream {
-                ref mut writer,
-                format,
-                ..
-            } => {
-                match format {
-                    SeriesFormat::Csv => {}
-                    SeriesFormat::Json => writer.write_all(json_footer().as_bytes())?,
-                }
-                writer.flush()?;
-                Vec::new()
-            }
+            Output::Stream { error: Some(e), .. } => return Err(e),
+            Output::Stream { .. } => Vec::new(),
         };
         Ok(Series {
             meta: self.meta,
@@ -374,7 +264,9 @@ impl SeriesRecorder {
         })
     }
 
-    fn close_at(&mut self, end: SimTime, metrics: &mut Metrics, sites: &[Site]) {
+    /// Close the current window at `end`.
+    fn close_at(&mut self, end: SimTime, view: &RunView<'_>) {
+        let (metrics, sites) = (view.metrics, view.sites);
         let blocked_area = metrics.blocked_txns.integral_seconds(end);
         let live_area = metrics.live_txns.integral_seconds(end);
         let lock_wait_s = blocked_area - self.base.blocked_area;
@@ -384,7 +276,7 @@ impl SeriesRecorder {
             *base = cur;
             d
         };
-        let per_site = if self.per_site {
+        let per_site = if self.meta.per_site {
             sites
                 .iter()
                 .enumerate()
@@ -447,27 +339,107 @@ impl SeriesRecorder {
     }
 
     fn emit(&mut self, w: SeriesWindow) {
-        match &mut self.out {
-            Output::Buffer(v) => v.push(w),
-            Output::Stream {
-                writer,
-                format,
-                wrote_window,
-            } => {
-                let chunk = match format {
-                    SeriesFormat::Csv => csv_rows(&w),
-                    SeriesFormat::Json => {
-                        let sep = if *wrote_window { "," } else { "" };
-                        format!("{sep}{}", json_window(&w))
-                    }
-                };
-                *wrote_window = true;
-                // Streaming failures must not abort the simulation
-                // mid-run (the report is still wanted); surface on the
-                // final flush in `finish` instead.
-                let _ = writer.write_all(chunk.as_bytes());
-            }
+        let chunk = match &mut self.out {
+            Output::Buffer(v) => return v.push(w),
+            Output::Stream { format, .. } => match format {
+                SeriesFormat::Csv => csv_rows(&w),
+                // Windows are numbered from 0, so all but the first
+                // follow a separator.
+                SeriesFormat::Json if w.index > 0 => format!(",{}", json_window(&w)),
+                SeriesFormat::Json => json_window(&w),
+            },
+        };
+        self.stream(|w| w.write_all(chunk.as_bytes()));
+    }
+
+    /// Apply `io` to the stream unless it already failed. A failure must
+    /// not stop the run (its report is still wanted), so the first one
+    /// is kept for [`SeriesRecorder::into_series`].
+    fn stream(&mut self, io: impl FnOnce(&mut dyn IoWrite) -> io::Result<()>) {
+        if let Output::Stream {
+            writer,
+            error: error @ None,
+            ..
+        } = &mut self.out
+        {
+            *error = io(writer).err();
         }
+    }
+}
+
+impl Observer for SeriesRecorder {
+    fn on_start(&mut self, run: &RunStart<'_>) {
+        self.meta.protocol = run.protocol.to_string();
+        self.meta.mpl = run.mpl;
+        self.meta.seed = run.seed;
+        // A warmed-up run's first windows are not measured.
+        self.measured = !run.warmup;
+        self.site_commits = vec![0; run.sites];
+        self.base.site_commits = vec![0; run.sites];
+        if let Output::Stream { format, .. } = &self.out {
+            let header = match format {
+                SeriesFormat::Csv => csv_header(),
+                SeriesFormat::Json => json_header(&self.meta),
+            };
+            self.stream(|w| w.write_all(header.as_bytes()));
+        }
+    }
+
+    fn on_commit(&mut self, home: usize) {
+        if let Some(c) = self.site_commits.get_mut(home) {
+            *c += 1;
+        }
+    }
+
+    fn next_boundary(&self) -> SimTime {
+        self.next_boundary
+    }
+
+    /// Close every window whose boundary is at or before `view.now`,
+    /// lazily, just before the first event past a boundary, so a
+    /// window's deltas never include effects from beyond its end.
+    fn on_boundary(&mut self, view: &RunView<'_>) {
+        while view.now >= self.next_boundary {
+            let end = self.next_boundary;
+            self.close_at(end, view);
+            self.next_boundary = SimTime(end.as_micros() + self.window.as_micros());
+        }
+    }
+
+    /// Force-close the current partial window at the warm-up reset
+    /// instant, before the counters reset: the window deltas are taken
+    /// against the pre-reset counters, then every baseline is zeroed to
+    /// match the reset counters, and window tiling restarts at `now` so
+    /// measured windows align with the measurement interval.
+    fn on_warmup_end(&mut self, view: &RunView<'_>) {
+        let now = view.now;
+        if now > self.window_start {
+            self.close_at(now, view);
+        }
+        self.measured = true;
+        self.window_start = now;
+        self.next_boundary = SimTime(now.as_micros() + self.window.as_micros());
+        self.base = Baselines {
+            site_commits: vec![0; self.site_commits.len()],
+            ..Baselines::default()
+        };
+        self.site_commits.fill(0);
+    }
+
+    /// Close the final partial window, then end and flush the stream.
+    fn on_finish(&mut self, view: &RunView<'_>) {
+        self.on_boundary(view);
+        if view.now > self.window_start {
+            self.close_at(view.now, view);
+        }
+        if let Output::Stream {
+            format: SeriesFormat::Json,
+            ..
+        } = self.out
+        {
+            self.stream(|w| w.write_all(json_footer().as_bytes()));
+        }
+        self.stream(|w| w.flush());
     }
 }
 

@@ -2,7 +2,7 @@
 //! machinery the integration suite exercises only indirectly.
 
 use super::types::{CohortH, CohortPhase, LogWork, MsgKind, TxnH, Vote};
-use super::{Simulation, Trace};
+use super::{Observer, Profiled, SeriesConfig, SeriesRecorder, Simulation, Trace};
 use crate::config::{ResourceMode, SystemConfig, TransType};
 use crate::metrics::SimReport;
 use commitproto::ProtocolSpec;
@@ -32,22 +32,36 @@ fn run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64) -> SimReport {
 
 /// The self-profile times the series section only when a window
 /// closes: with no recorder it reports exactly zero sink cost, and with
-/// one installed the sink's real cost shows up.
+/// one composed beside the profiler the sink's real cost shows up.
+/// Detection is a section of its own, and the four sections tile the
+/// profiled span.
 #[test]
 fn profile_charges_series_cost_only_to_an_installed_recorder() {
     let cfg = tiny();
-    let (_, off) =
-        Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, 42, None).expect("valid config");
-    assert!(off.events > 0);
+    let (bare, off) = Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 42, Profiled::default())
+        .expect("valid config");
+    let off = off.profile;
+    assert_eq!(off.events, bare.events);
     assert_eq!(off.series_ns, 0);
-    let series = super::SeriesConfig {
+    let series = SeriesConfig {
         window: simkernel::SimDuration::from_millis(100),
         per_site: false,
     };
-    let (_, on) = Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, 42, Some(&series))
-        .expect("valid config");
+    let observers = (Profiled::default(), SeriesRecorder::buffered(&series));
+    let (_, (on, rec)) =
+        Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 42, observers).expect("valid config");
+    assert!(!rec.into_series().unwrap().windows.is_empty());
+    let on = on.profile;
     assert_eq!(on.events, off.events);
     assert!(on.series_ns > 0);
+    for p in [off, on] {
+        assert!(p.locks_ns > 0, "{p:?}");
+        assert_eq!(
+            p.calendar_ns + p.dispatch_ns + p.locks_ns + p.series_ns,
+            p.total_ns,
+            "{p:?}"
+        );
+    }
 }
 
 #[test]
@@ -308,7 +322,8 @@ fn trace_render_txn_mentions_all_milestones() {
     let mut cfg = tiny();
     cfg.db_size = 80_000;
     cfg.mpl = 1;
-    let (_, trace) = Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 3, 1).unwrap();
+    let (_, trace) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 3, 1, Trace::default()).unwrap();
     let text = trace.render_txn(1);
     for needle in [
         "InitCohort",
@@ -382,9 +397,15 @@ fn opt_lending_under_master_crashes_leaks_no_locks() {
         ..FailureConfig::default()
     });
     for spec in [ProtocolSpec::OPT_2PC, ProtocolSpec::OPT_3PC] {
-        let mut sim = Simulation::new(&cfg, spec, 13).expect("valid config");
+        let mut sim = Simulation::new(&cfg, spec, 13, ()).expect("valid config");
         sim.execute();
-        let report = sim.report();
+        let report = super::build_report(
+            &sim.cfg,
+            sim.spec,
+            &sim.cal,
+            &mut sim.metrics,
+            &mut sim.sites,
+        );
         // The scenario really exercised lending under crashes.
         assert!(report.faults.master_crashes > 0, "{}", spec.name());
         assert!(report.borrow_ratio > 0.0, "{}", spec.name());
@@ -480,7 +501,7 @@ thread_local! {
 /// function (per-site `blockers_of`, mapped to transactions). Every
 /// check in a test build asserts the engine's search returns exactly
 /// this cycle.
-pub(super) fn reference_cycle(sim: &Simulation, start: TxnH) -> Option<Vec<TxnH>> {
+pub(super) fn reference_cycle<O: Observer>(sim: &Simulation<O>, start: TxnH) -> Option<Vec<TxnH>> {
     let successors = |t: TxnH| {
         let mut out = Vec::new();
         let Some(txn) = sim.txns.get(t) else {

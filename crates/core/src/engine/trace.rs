@@ -327,11 +327,9 @@ impl TraceEvent {
 /// is, and [`super::FoldSink`] keeps only per-transaction aggregation
 /// state.
 ///
-/// `Any` is a supertrait so [`super::Simulation::run_with_sink`] can
-/// hand the concrete sink back to the caller after the run; `Send` so
-/// the simulation (which owns the sink) stays shippable across the
-/// parallel runner's worker threads.
-pub trait TraceSink: std::any::Any + Send {
+/// Every trace sink is an [`super::Observer`] of every transaction;
+/// [`super::Prefix`] limits one to the first transactions submitted.
+pub trait TraceSink {
     /// Observe one event. Events arrive in simulation order.
     fn record(&mut self, event: &TraceEvent);
 
@@ -340,7 +338,7 @@ pub trait TraceSink: std::any::Any + Send {
 }
 
 /// A recorded trace: events in simulation order, bounded by the number
-/// of transactions requested at [`super::Simulation::run_traced`].
+/// of transactions requested at [`super::Simulation::run_with_sink`].
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     /// All recorded events, in occurrence order.

@@ -8,7 +8,7 @@
 //! and borrow-ratio figures (the paper plots them from the same runs).
 
 use crate::config::{ConfigError, SystemConfig, TransType};
-use crate::engine::{Series, SeriesConfig, Simulation};
+use crate::engine::{Observer, Series, SeriesConfig, SeriesRecorder, Simulation};
 use crate::metrics::SimReport;
 use crate::runner;
 use commitproto::ProtocolSpec;
@@ -200,6 +200,68 @@ pub fn sweep(
     scale: &Scale,
 ) -> Result<Vec<ProtocolSeries>, ConfigError> {
     let _ = cfg; // the per-spec override already embeds the base
+    walk_grid(specs, scale, || ()).map(|(series, _)| series)
+}
+
+/// One grid cell's windowed metric series from [`sweep_with_series`].
+#[derive(Debug, Clone)]
+pub struct SeriesCell {
+    /// Series label (protocol name or parameterized variant).
+    pub label: String,
+    /// Per-site multiprogramming level of the cell.
+    pub mpl: u32,
+    /// Replication index within the (series, MPL) cell.
+    pub replication: u32,
+    /// The cell's windowed series.
+    pub series: Series,
+}
+
+/// Like [`sweep`], but every cell additionally records a windowed
+/// metric time series with a buffered [`SeriesRecorder`].
+///
+/// Returns the merged per-protocol report series (identical to what
+/// [`sweep`] returns for the same inputs — recording does not perturb
+/// a run) plus one [`SeriesCell`] per grid cell in grid order:
+/// series-major, then MPL, then replication. Replications are *not*
+/// merged on the series side — windows are per-run observations, so
+/// each replication keeps its own cell. Like [`sweep`], both return
+/// values are byte-identical for any worker count.
+///
+/// # Errors
+/// Propagates the first cell's [`ConfigError`], like [`sweep`].
+pub fn sweep_with_series(
+    cfg: &SystemConfig,
+    specs: &[(String, ProtocolSpec, SystemConfig)],
+    scale: &Scale,
+    series_cfg: &SeriesConfig,
+) -> Result<(Vec<ProtocolSeries>, Vec<SeriesCell>), ConfigError> {
+    let _ = cfg; // the per-spec override already embeds the base
+    let (series, cells) = walk_grid(specs, scale, || SeriesRecorder::buffered(series_cfg))?;
+    let cells = cells
+        .into_iter()
+        .map(|(label, mpl, replication, rec)| SeriesCell {
+            label: label.to_string(),
+            mpl,
+            replication,
+            series: rec.into_series().expect("a buffered series does no I/O"),
+        })
+        .collect();
+    Ok((series, cells))
+}
+
+/// One observed sweep cell: (label, MPL, replication, observer).
+type GridCell<'a, O> = (&'a str, u32, u32, O);
+
+/// The sweep grid walker behind [`sweep`] and [`sweep_with_series`]:
+/// runs every (series, MPL, replication) cell under a fresh
+/// `observer()` on [`runner::run_ordered`] workers, merges each
+/// (series, MPL) point's replications, and returns the cells in grid
+/// order: series-major, then MPL, then replication.
+fn walk_grid<'a, O: Observer + Send>(
+    specs: &'a [(String, ProtocolSpec, SystemConfig)],
+    scale: &Scale,
+    observer: impl Fn() -> O + Sync,
+) -> Result<(Vec<ProtocolSeries>, Vec<GridCell<'a, O>>), ConfigError> {
     let reps = scale.replications.clamp(1, u16::MAX as u32);
 
     // Flat job grid in output order: series-major, then MPL, then
@@ -220,7 +282,7 @@ pub fn sweep(
     let progress = runner::Progress::new("sweep", grid.len());
     let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
         let t0 = std::time::Instant::now();
-        let out = Simulation::run(cell_cfg, *spec, *seed);
+        let out = Simulation::run_observed(cell_cfg, *spec, *seed, observer());
         progress.cell_done(
             &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
             t0.elapsed().as_secs_f64(),
@@ -230,100 +292,17 @@ pub fn sweep(
 
     let mut it = results.into_iter();
     let mut out = Vec::with_capacity(specs.len());
-    for (label, _, _) in specs {
-        let mut points = Vec::with_capacity(scale.mpls.len());
-        for _ in &scale.mpls {
-            let cell: Vec<SimReport> = (0..reps)
-                .map(|_| it.next().expect("grid covers every cell"))
-                .collect::<Result<_, _>>()?;
-            points.push(SimReport::merge_replications(&cell));
-        }
-        out.push(ProtocolSeries {
-            label: label.clone(),
-            points,
-        });
-    }
-    Ok(out)
-}
-
-/// One grid cell's windowed metric series from [`sweep_with_series`].
-#[derive(Debug, Clone)]
-pub struct SeriesCell {
-    /// Series label (protocol name or parameterized variant).
-    pub label: String,
-    /// Per-site multiprogramming level of the cell.
-    pub mpl: u32,
-    /// Replication index within the (series, MPL) cell.
-    pub replication: u32,
-    /// The cell's windowed series.
-    pub series: Series,
-}
-
-/// Like [`sweep`], but every cell additionally records a windowed
-/// metric time series via [`Simulation::run_with_series`].
-///
-/// Returns the merged per-protocol report series (identical to what
-/// [`sweep`] returns for the same inputs — recording does not perturb
-/// a run) plus one [`SeriesCell`] per grid cell in grid order:
-/// series-major, then MPL, then replication. Replications are *not*
-/// merged on the series side — windows are per-run observations, so
-/// each replication keeps its own cell. Like [`sweep`], the grid runs
-/// on [`runner::run_ordered`] workers and both return values are
-/// byte-identical for any worker count.
-///
-/// # Errors
-/// Propagates the first cell's [`ConfigError`], like [`sweep`].
-pub fn sweep_with_series(
-    cfg: &SystemConfig,
-    specs: &[(String, ProtocolSpec, SystemConfig)],
-    scale: &Scale,
-    series_cfg: &SeriesConfig,
-) -> Result<(Vec<ProtocolSeries>, Vec<SeriesCell>), ConfigError> {
-    let _ = cfg; // the per-spec override already embeds the base
-    let reps = scale.replications.clamp(1, u16::MAX as u32);
-
-    let mut grid: Vec<(SystemConfig, ProtocolSpec, u64)> =
-        Vec::with_capacity(specs.len() * scale.mpls.len() * reps as usize);
-    for (si, (_, spec, cfg_override)) in specs.iter().enumerate() {
-        for (mi, &mpl) in scale.mpls.iter().enumerate() {
-            let mut cell_cfg = scale.apply(cfg_override);
-            cell_cfg.mpl = mpl;
-            for rep in 0..reps {
-                grid.push((cell_cfg.clone(), *spec, cell_seed(scale.seed, si, mi, rep)));
-            }
-        }
-    }
-
-    let jobs = runner::resolve_jobs(scale.jobs);
-    let progress = runner::Progress::new("sweep", grid.len());
-    let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
-        let t0 = std::time::Instant::now();
-        let out = Simulation::run_with_series(cell_cfg, *spec, *seed, series_cfg);
-        progress.cell_done(
-            &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
-            t0.elapsed().as_secs_f64(),
-        );
-        out
-    });
-
-    let mut it = results.into_iter();
-    let mut out = Vec::with_capacity(specs.len());
-    let mut cells = Vec::with_capacity(specs.len() * scale.mpls.len() * reps as usize);
+    let mut cells = Vec::with_capacity(grid.len());
     for (label, _, _) in specs {
         let mut points = Vec::with_capacity(scale.mpls.len());
         for &mpl in &scale.mpls {
-            let mut cell_reports = Vec::with_capacity(reps as usize);
+            let mut reports = Vec::with_capacity(reps as usize);
             for rep in 0..reps {
-                let (report, series) = it.next().expect("grid covers every cell")?;
-                cell_reports.push(report);
-                cells.push(SeriesCell {
-                    label: label.clone(),
-                    mpl,
-                    replication: rep,
-                    series,
-                });
+                let (report, obs) = it.next().expect("grid covers every cell")?;
+                reports.push(report);
+                cells.push((label.as_str(), mpl, rep, obs));
             }
-            points.push(SimReport::merge_replications(&cell_reports));
+            points.push(SimReport::merge_replications(&reports));
         }
         out.push(ProtocolSeries {
             label: label.clone(),

@@ -191,14 +191,16 @@ impl TimeWeighted {
     }
 
     /// The raw level·time integral over `[origin, now]`, in
-    /// level-seconds. Successive calls at window boundaries yield
-    /// per-window areas by subtraction, and those deltas telescope
-    /// exactly: their sum equals the final integral bit for bit, which
-    /// is what lets windowed series cross-check against whole-run
-    /// time averages.
-    pub fn integral_seconds(&mut self, now: SimTime) -> f64 {
-        self.accumulate(now);
-        self.area / 1e6
+    /// level-seconds, read without accumulating. Successive calls at
+    /// window boundaries yield per-window areas by subtraction; with an
+    /// integer-valued level every area is an exact integer count of
+    /// level-microseconds, so those deltas telescope exactly: their sum
+    /// equals the final integral bit for bit, which is what lets
+    /// windowed series cross-check against whole-run time averages.
+    pub fn integral_seconds(&self, now: SimTime) -> f64 {
+        debug_assert!(now >= self.last_change);
+        let pending = self.level * now.since(self.last_change).as_micros() as f64;
+        (self.area + pending) / 1e6
     }
 }
 

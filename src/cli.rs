@@ -15,9 +15,11 @@ use commitproto::ProtocolSpec;
 use distdb::config::{
     FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
 };
-use distdb::engine::{ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, Simulation};
+use distdb::engine::{
+    ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, SeriesRecorder, Simulation, Trace,
+};
 use distdb::experiments::{self, Scale};
-use distdb::metrics::ReportFormat;
+use distdb::metrics::{ReportFormat, SimReport};
 use distdb::output::{
     render_ascii_chart, render_csv, render_peaks, render_ranking, render_sweep_csv,
     render_sweep_json, render_sweep_series_csv, render_sweep_series_json, render_table,
@@ -198,8 +200,7 @@ RUN OUTPUT:
                            chrome://tracing or https://ui.perfetto.dev
   --series-out <FILE>      also stream the windowed metric series to
                            FILE (CSV, or JSON when FILE ends in .json);
-                           accepts --window/--per-site; incompatible
-                           with --trace-out
+                           accepts --window/--per-site
 
 SERIES:
   --format <F>             series format: csv (default, one row per
@@ -354,6 +355,36 @@ fn series_format_name(f: SeriesFormat) -> &'static str {
         SeriesFormat::Csv => "csv",
         SeriesFormat::Json => "json",
     }
+}
+
+/// The observers of one `run` or `series` invocation.
+type Outputs = (Option<ChromeStreamSink>, Option<SeriesRecorder>);
+
+/// One run observed by a Chrome trace streamed to `trace_out` and a
+/// series recorder streaming to its `(path, format)` target (buffering
+/// without one); output write errors are left to the caller.
+fn run_with_outputs(
+    cfg: &SystemConfig,
+    protocol: ProtocolSpec,
+    seed: u64,
+    trace_out: Option<&str>,
+    series: Option<(&SeriesConfig, Option<(&str, SeriesFormat)>)>,
+) -> Result<(SimReport, Outputs), String> {
+    let chrome = trace_out
+        .map(|path| {
+            ChromeStreamSink::create(std::path::Path::new(path))
+                .map_err(|e| format!("cannot create {path}: {e}"))
+        })
+        .transpose()?;
+    let rec = series
+        .map(|(series_cfg, target)| match target {
+            Some((path, format)) => std::fs::File::create(path)
+                .map(|file| SeriesRecorder::streaming(series_cfg, Box::new(file), format))
+                .map_err(|e| format!("cannot create {path}: {e}")),
+            None => Ok(SeriesRecorder::buffered(series_cfg)),
+        })
+        .transpose()?;
+    Simulation::run_observed(cfg, protocol, seed, (chrome, rec)).map_err(|e| e.to_string())
 }
 
 /// Parse an argument vector (without the program name).
@@ -629,11 +660,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         out,
                     });
                 }
-                if trace_out.is_some() && series_out.is_some() {
-                    // The two streamers use separate engine entry
-                    // points; one observed run cannot feed both.
-                    return err("--trace-out and --series-out are mutually exclusive");
-                }
                 Ok(Command::Run {
                     cfg,
                     protocol,
@@ -810,69 +836,44 @@ pub fn execute(cmd: Command) -> i32 {
         } => {
             // Both streamers write to disk as the run progresses, so
             // observing a full run needs no in-memory buffer.
-            let result = match &trace_out {
-                Some(path) => match ChromeStreamSink::create(std::path::Path::new(path)) {
-                    Ok(sink) => Simulation::run_with_sink(&cfg, protocol, seed, u64::MAX, sink)
-                        .map(|(r, sink)| (r, Some(sink))),
+            let series = series_out
+                .as_deref()
+                .map(|path| (&series_cfg, Some((path, series_format_for(path)))));
+            let (r, (chrome, rec)) =
+                match run_with_outputs(&cfg, protocol, seed, trace_out.as_deref(), series) {
+                    Ok(run) => run,
                     Err(e) => {
-                        eprintln!("error: cannot create {path}: {e}");
+                        eprintln!("error: {e}");
                         return 1;
                     }
-                },
-                None => match &series_out {
-                    Some(path) => match std::fs::File::create(path) {
-                        Ok(file) => match Simulation::run_with_series_stream(
-                            &cfg,
-                            protocol,
-                            seed,
-                            &series_cfg,
-                            Box::new(file),
-                            series_format_for(path),
-                        ) {
-                            Ok(r) => Ok((r, None)),
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                return 1;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("error: cannot create {path}: {e}");
-                            return 1;
-                        }
-                    },
-                    None => Simulation::run(&cfg, protocol, seed).map(|r| (r, None)),
-                },
-            };
-            match result {
-                Ok((r, sink)) => {
-                    if format == ReportFormat::Table {
-                        println!("{cfg}");
+                };
+            if format == ReportFormat::Table {
+                println!("{cfg}");
+            }
+            print!("{}", r.render(format));
+            if let Some(sink) = chrome {
+                let path = trace_out.as_deref().unwrap_or_default();
+                match sink.into_result() {
+                    // stderr keeps csv/json output machine-readable.
+                    Ok(events) => eprintln!(
+                        "chrome trace ({events} events) streamed to {path} — open in \
+                         chrome://tracing or https://ui.perfetto.dev"
+                    ),
+                    Err(e) => {
+                        eprintln!("error: cannot write {path}: {e}");
+                        return 1;
                     }
-                    print!("{}", r.render(format));
-                    if let Some(sink) = sink {
-                        let path = trace_out.as_deref().unwrap_or_default();
-                        match sink.into_result() {
-                            // stderr keeps csv/json output machine-readable.
-                            Ok(events) => eprintln!(
-                                "chrome trace ({events} events) streamed to {path} — open in \
-                                 chrome://tracing or https://ui.perfetto.dev"
-                            ),
-                            Err(e) => {
-                                eprintln!("error: cannot write {path}: {e}");
-                                return 1;
-                            }
-                        }
-                    }
-                    if let Some(path) = &series_out {
-                        eprintln!("windowed series streamed to {path}");
-                    }
-                    i32::from(!r.overhead_check.is_clean())
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
                 }
             }
+            if let Some(rec) = rec {
+                let path = series_out.as_deref().unwrap_or_default();
+                if let Err(e) = rec.into_series() {
+                    eprintln!("error: cannot write {path}: {e}");
+                    return 1;
+                }
+                eprintln!("windowed series streamed to {path}");
+            }
+            i32::from(!r.overhead_check.is_clean())
         }
         Command::Series {
             cfg,
@@ -882,49 +883,37 @@ pub fn execute(cmd: Command) -> i32 {
             format,
             out,
         } => {
-            match &out {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(file) => match Simulation::run_with_series_stream(
-                        &cfg,
-                        protocol,
-                        seed,
-                        &series_cfg,
-                        Box::new(file),
-                        format,
-                    ) {
-                        Ok(report) => {
-                            println!(
-                                "windowed series ({}) streamed to {path}",
-                                series_format_name(format)
-                            );
-                            println!("{}", report.summary());
-                            0
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            1
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("error: cannot create {path}: {e}");
-                        1
-                    }
-                },
-                None => match Simulation::run_with_series(&cfg, protocol, seed, &series_cfg) {
-                    Ok((report, series)) => {
-                        // stdout carries only the series, so redirecting it
-                        // to a file gives exactly the --out bytes; the
-                        // summary rides on stderr.
-                        print!("{}", series.render(format));
-                        eprintln!("{}", report.summary());
-                        0
-                    }
+            let target = out.as_deref().map(|path| (path, format));
+            let (report, (_, rec)) =
+                match run_with_outputs(&cfg, protocol, seed, None, Some((&series_cfg, target))) {
+                    Ok(run) => run,
                     Err(e) => {
                         eprintln!("error: {e}");
-                        1
+                        return 1;
                     }
-                },
+                };
+            let path = out.as_deref().unwrap_or_default();
+            let series = match rec.expect("the series command records").into_series() {
+                Ok(series) => series,
+                Err(e) => {
+                    eprintln!("error: cannot write {path}: {e}");
+                    return 1;
+                }
+            };
+            if out.is_some() {
+                println!(
+                    "windowed series ({}) streamed to {path}",
+                    series_format_name(format)
+                );
+                println!("{}", report.summary());
+            } else {
+                // stdout carries only the series, so redirecting it to
+                // a file gives exactly the --out bytes; the summary
+                // rides on stderr.
+                print!("{}", series.render(format));
+                eprintln!("{}", report.summary());
             }
+            0
         }
         Command::Fold {
             cfg,
@@ -971,7 +960,7 @@ pub fn execute(cmd: Command) -> i32 {
             seed,
             txns,
             out,
-        } => match Simulation::run_traced(&cfg, protocol, seed, txns) {
+        } => match Simulation::run_with_sink(&cfg, protocol, seed, txns, Trace::default()) {
             Ok((report, trace)) => {
                 println!(
                     "{} — first {txns} transaction(s), seed {seed}",
@@ -1755,8 +1744,8 @@ mod tests {
         };
         assert_eq!(series_out.as_deref(), Some("/tmp/s.json"));
         assert_eq!(series_cfg, SeriesConfig::default());
-        // One observed run cannot feed both streamers.
-        assert!(parse(&argv("run --trace-out a.json --series-out b.csv")).is_err());
+        // One observed run feeds both streamers.
+        assert!(parse(&argv("run --trace-out a.json --series-out b.csv")).is_ok());
         // --window/--per-site are meaningless without a series.
         assert!(parse(&argv("run --window 2")).is_err());
         assert!(parse(&argv("run --per-site")).is_err());

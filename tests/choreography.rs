@@ -15,7 +15,8 @@ fn traced(spec: ProtocolSpec) -> Trace {
         .with_db_size(80_000)
         .with_mpl(1)
         .with_run_length(0, 40);
-    let (report, trace) = Simulation::run_traced(&cfg, spec, 5, 1).expect("valid config");
+    let (report, trace) =
+        Simulation::run_with_sink(&cfg, spec, 5, 1, Trace::default()).expect("valid config");
     assert_eq!(
         report.total_aborts(),
         0,
@@ -232,7 +233,8 @@ fn all_no_votes_abort_choreography() {
     // 2PC: NO voters force their abort records; there are no prepared
     // cohorts, so no ABORT messages and no ACKs; the master forces its
     // abort record.
-    let (_, tr) = Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 3, 1).unwrap();
+    let (_, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 3, 1, Trace::default()).unwrap();
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteNo), 2);
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteYes), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::NoVoteAbort), 3);
@@ -245,7 +247,8 @@ fn all_no_votes_abort_choreography() {
         .any(|e| matches!(e, TraceEvent::Aborted { txn: 1, .. })));
 
     // PA: "in case of doubt, abort" — nothing is forced anywhere.
-    let (_, tr) = Simulation::run_traced(&cfg, ProtocolSpec::PA, 3, 1).unwrap();
+    let (_, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::PA, 3, 1, Trace::default()).unwrap();
     assert_eq!(tr.forced_writes(1, LogLabel::NoVoteAbort), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::MasterAbort), 0);
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteNo), 2);
@@ -262,7 +265,8 @@ fn single_no_vote_aborts_the_prepared_rest() {
         .with_mpl(1)
         .with_cohort_abort_prob(0.5)
         .with_run_length(0, 30);
-    let (_, tr) = Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 11, 200).unwrap();
+    let (_, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 11, 200, Trace::default()).unwrap();
     let mut found = false;
     for txn in tr.txns() {
         let yes = tr.all_sends(txn, MsgLabel::VoteYes);
@@ -298,7 +302,9 @@ fn opt_shelf_lifecycle_is_balanced() {
     let cfg = SystemConfig::pure_data_contention()
         .with_mpl(6)
         .with_run_length(0, 400);
-    let (report, tr) = Simulation::run_traced(&cfg, ProtocolSpec::OPT_2PC, 13, 100_000).unwrap();
+    let (report, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::OPT_2PC, 13, 100_000, Trace::default())
+            .unwrap();
     assert!(
         report.borrow_ratio > 0.0,
         "need borrowing for this test to bite"
@@ -341,7 +347,9 @@ fn tracing_does_not_perturb_the_simulation() {
         .with_mpl(4)
         .with_run_length(50, 400);
     let plain = Simulation::run(&cfg, ProtocolSpec::OPT_2PC, 17).unwrap();
-    let (traced, trace) = Simulation::run_traced(&cfg, ProtocolSpec::OPT_2PC, 17, 10_000).unwrap();
+    let (traced, trace) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::OPT_2PC, 17, 10_000, Trace::default())
+            .unwrap();
     assert_eq!(plain.events, traced.events);
     assert_eq!(plain.committed, traced.committed);
     assert!((plain.throughput - traced.throughput).abs() < 1e-12);

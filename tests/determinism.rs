@@ -138,3 +138,75 @@ fn degenerate_topology_is_byte_identical_to_no_topology() {
         plain.mean_response_s
     );
 }
+
+/// Observers watch without steering: one faulty run observed by a
+/// trace prefix, the fold sink, the series recorder and the
+/// self-profiler at once reports bit-identically to a bare run, and
+/// each sink's output is byte-identical to that sink watching a run on
+/// its own.
+#[test]
+fn composed_observers_do_not_perturb() {
+    use distcommit::db::engine::{FoldSink, Prefix, Profiled, SeriesConfig, SeriesRecorder, Trace};
+    use distcommit::db::metrics::ReportFormat;
+    let mut base = small_cfg();
+    base.run.warmup_transactions = 50;
+    base.run.measured_transactions = 400;
+    base.failures = Some("mc=0.01,cc=0.005,loss=0.01".parse().unwrap());
+    let series_cfg = SeriesConfig {
+        window: simkernel::SimDuration::from_secs(1),
+        per_site: true,
+    };
+    for (spec, cfg) in [
+        (ProtocolSpec::TWO_PC, base.clone()),
+        (ProtocolSpec::OPT_2PC, base.clone()),
+        (ProtocolSpec::THREE_PC, base.clone()),
+        (ProtocolSpec::PAXOS, base.clone().with_replication(1)),
+    ] {
+        let name = spec.name();
+        let seed = 5;
+        let bare = Simulation::run(&cfg, spec, seed).unwrap();
+        let observers = (
+            Prefix {
+                txns: 40,
+                sink: Trace::default(),
+            },
+            FoldSink::new(name),
+            SeriesRecorder::buffered(&series_cfg),
+            Profiled::default(),
+        );
+        let (report, (prefix, fold, rec, profiled)) =
+            Simulation::run_observed(&cfg, spec, seed, observers).unwrap();
+        assert_eq!(format!("{report:?}"), format!("{bare:?}"), "{name}");
+        assert_eq!(
+            report.render(ReportFormat::Json),
+            bare.render(ReportFormat::Json),
+            "{name}"
+        );
+
+        let (_, trace) = Simulation::run_with_sink(&cfg, spec, seed, 40, Trace::default()).unwrap();
+        assert!(!trace.events.is_empty(), "{name}");
+        assert_eq!(
+            format!("{:?}", prefix.sink.events),
+            format!("{:?}", trace.events),
+            "{name}"
+        );
+        let (_, fold_alone) =
+            Simulation::run_observed(&cfg, spec, seed, FoldSink::new(name)).unwrap();
+        assert_eq!(fold.render(), fold_alone.render(), "{name}");
+        let (_, series) = Simulation::run_with_series(&cfg, spec, seed, &series_cfg).unwrap();
+        let composed = rec.into_series().unwrap();
+        assert!(!series.windows.is_empty(), "{name}");
+        for format in [
+            distcommit::db::engine::SeriesFormat::Csv,
+            distcommit::db::engine::SeriesFormat::Json,
+        ] {
+            assert_eq!(composed.render(format), series.render(format), "{name}");
+        }
+        let p = profiled.profile;
+        assert_eq!(p.events, report.events, "{name}");
+        assert_eq!(
+            p.calendar_ns + p.dispatch_ns + p.locks_ns + p.series_ns,
+            p.total_ns
+        );
+    }
+}

@@ -230,7 +230,8 @@ fn chrome_window(
     seed: u64,
     range: std::ops::Range<usize>,
 ) -> (Vec<TraceEvent>, String) {
-    let (_, trace) = Simulation::run_traced(cfg, spec, seed, 200).expect("valid config");
+    let (_, trace) =
+        Simulation::run_with_sink(cfg, spec, seed, 200, Trace::default()).expect("valid config");
     let window = Trace {
         events: trace.events[range].to_vec(),
     };

@@ -5,7 +5,7 @@
 //! the chain stretches the prepared state of early cohorts.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, TraceEvent};
+use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, Trace, TraceEvent};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
 
@@ -39,7 +39,14 @@ fn linear_overheads_match_the_analytic_model() {
 
 #[test]
 fn linear_commit_choreography() {
-    let (_, tr) = Simulation::run_traced(&conflict_free(), ProtocolSpec::LINEAR_2PC, 2, 1).unwrap();
+    let (_, tr) = Simulation::run_with_sink(
+        &conflict_free(),
+        ProtocolSpec::LINEAR_2PC,
+        2,
+        1,
+        Trace::default(),
+    )
+    .unwrap();
     // Chain of 3: three ChainPrepare hops (one local), two backward
     // ChainDecision hops plus one local ChainBack.
     assert_eq!(tr.all_sends(1, MsgLabel::Prepare), 3);
@@ -104,7 +111,9 @@ fn linear_commit_choreography() {
 fn linear_abort_unwinds_the_chain() {
     let mut cfg = conflict_free();
     cfg.cohort_abort_prob = 0.5;
-    let (report, tr) = Simulation::run_traced(&cfg, ProtocolSpec::LINEAR_2PC, 3, 300).unwrap();
+    let (report, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::LINEAR_2PC, 3, 300, Trace::default())
+            .unwrap();
     assert!(report.aborted_surprise > 0, "need some NO votes");
     // Find an aborted transaction and check its unwind.
     let mut checked = false;

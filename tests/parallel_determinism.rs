@@ -236,15 +236,13 @@ fn million_transaction_streaming_smoke_stays_bounded() {
         per_site: false,
     };
     let meter = MeterWriter::default();
-    let report = Simulation::run_with_series_stream(
-        &cfg,
-        ProtocolSpec::TWO_PC,
-        42,
+    let rec = distcommit::db::engine::SeriesRecorder::streaming(
         &series_cfg,
         Box::new(meter.clone()),
         distcommit::db::engine::SeriesFormat::Csv,
-    )
-    .unwrap();
+    );
+    let (report, rec) = Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 42, rec).unwrap();
+    rec.into_series().unwrap();
     use std::sync::atomic::Ordering::Relaxed;
     assert_eq!(report.committed, 1_000_000);
     let total = meter.total.load(Relaxed);

@@ -6,7 +6,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{Series, SeriesConfig, SeriesFormat, Simulation};
+use distcommit::db::engine::{Series, SeriesConfig, SeriesFormat, SeriesRecorder, Simulation};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
@@ -202,18 +202,114 @@ fn streaming_output_is_byte_identical_to_buffered_render() {
         let (_, buffered) =
             Simulation::run_with_series(&lossy_cfg(), ProtocolSpec::OPT_2PC, 3, &scfg).unwrap();
         let buf = SharedBuf::default();
-        let report = Simulation::run_with_series_stream(
-            &lossy_cfg(),
-            ProtocolSpec::OPT_2PC,
-            3,
-            &scfg,
-            Box::new(buf.clone()),
-            format,
-        )
-        .unwrap();
+        let rec = SeriesRecorder::streaming(&scfg, Box::new(buf.clone()), format);
+        let (report, rec) =
+            Simulation::run_observed(&lossy_cfg(), ProtocolSpec::OPT_2PC, 3, rec).unwrap();
+        assert!(rec.into_series().unwrap().windows.is_empty());
         assert!(report.committed > 0);
         let streamed = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(buffered.render(format), streamed);
+    }
+}
+
+/// A writer that accepts its first `limit` bytes and fails every write
+/// after that; like a `File`, its `flush` has nothing to report.
+struct FailAfter {
+    limit: usize,
+    written: usize,
+    failed_writes: Arc<Mutex<u32>>,
+}
+
+impl Write for FailAfter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.written + buf.len() > self.limit {
+            *self.failed_writes.lock().unwrap() += 1;
+            return Err(std::io::Error::other("device full"));
+        }
+        self.written += buf.len();
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A write error in the middle of a streamed run is latched, stops the
+/// stream, and surfaces when the series is taken; the run itself goes
+/// on undisturbed.
+#[test]
+fn streamed_series_surfaces_mid_run_write_errors() {
+    let mut cfg = small_cfg();
+    cfg.run.warmup_transactions = 0;
+    cfg.run.measured_transactions = 2_000;
+    let failed_writes = Arc::new(Mutex::new(0));
+    let writer = FailAfter {
+        limit: 400,
+        written: 0,
+        failed_writes: failed_writes.clone(),
+    };
+    let rec = SeriesRecorder::streaming(&series_cfg(1, false), Box::new(writer), SeriesFormat::Csv);
+    let (report, rec) = Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 42, rec).unwrap();
+    let err = rec.into_series().expect_err("the writer failed mid-run");
+    assert_eq!(err.to_string(), "device full");
+    assert_eq!(*failed_writes.lock().unwrap(), 1, "the stream goes quiet");
+    let bare = Simulation::run(&cfg, ProtocolSpec::TWO_PC, 42).unwrap();
+    assert_eq!(fingerprint(&report), fingerprint(&bare));
+}
+
+/// `run --trace-out A --series-out B` feeds both streamers from one
+/// run: A matches a trace-only run byte for byte, B a series-only run,
+/// and stdout (the report) is the same in all three.
+#[test]
+fn cli_trace_and_series_outputs_compose() {
+    let dir = std::env::temp_dir().join(format!("distcommit-compose-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let trace = |name: &str| format!("--trace-out {}", path(name));
+    let series = |name: &str| format!("--series-out {} --window 1 --per-site", path(name));
+    let run = |outputs: &str| {
+        let args = format!(
+            "run --protocol 3PC --seed 7 --warmup 20 --measured 300 \
+             --faults mc=0.02,cc=0.01,loss=0.02 --format json {outputs}"
+        );
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_distcommit"))
+            .args(args.split_whitespace())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args}: {stderr}");
+        out.stdout
+    };
+    let both = run(&format!("{} {}", trace("a.json"), series("b.csv")));
+    assert_eq!(both, run(&trace("a1.json")));
+    assert_eq!(both, run(&series("b1.csv")));
+    let read = |name: &str| std::fs::read(path(name)).unwrap();
+    assert!(read("a.json").len() > 1_000 && read("b.csv").len() > 100);
+    assert_eq!(read("a.json"), read("a1.json"));
+    assert_eq!(read("b.csv"), read("b1.csv"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A series output that cannot be written fails the command (exit 1)
+/// and names the file, for `series`, `run` and `sweep`.
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_series_write_errors_exit_1_naming_the_file() {
+    for args in [
+        "series --warmup 0 --measured 200 --out /dev/full",
+        "run --warmup 0 --measured 200 --series-out /dev/full",
+        "sweep --protocols 2PC --mpls 2 --warmup 0 --measured 200 --series-out /dev/full",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_distcommit"))
+            .args(args.split_whitespace())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(
+            stderr.contains("cannot write /dev/full"),
+            "{args}: {stderr}"
+        );
     }
 }
 
